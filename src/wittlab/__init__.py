@@ -7,9 +7,13 @@ there is no floating point anywhere.  The package has four layers:
   over Z, multivariate integer polynomials, small finite rings, and a
   truncated free associative algebra.
 * ``witt``: classical p-typical Witt vectors over any commutative base
-  ring, driven by universal polynomials obtained from ghost inversion.
-* ``bigwitt``: truncated big Witt vectors, their series model, and the
-  p-typical idempotent decomposition over p-local rings.
+  ring.  Over Z, Z/m and F_p[t]/(f) the ring operations and Frobenius
+  run in ghost space on a torsion-free lift with exact ghost inversion;
+  other rings evaluate the universal polynomials obtained from ghost
+  inversion, which ``gen-polys`` also prints.
+* ``bigwitt``: truncated big Witt vectors, their series model (addition),
+  ghost-space multiplication on the same lifts, and the p-typical
+  idempotent decomposition over p-local rings.
 * ``abgroup``, ``tate``, ``ncpoly``, ``hochschild``: polynomial Witt
   vectors of vector spaces over F_p built from integral lattices, and
   the degree-zero Hochschild-Witt construction for associative algebras.

@@ -7,8 +7,11 @@ The m-th ghost coordinate is the divisor sum
 and the additive group is presented through the series model: the
 vector (a_1, ..., a_N) corresponds to the truncated power series
 prod_{i<=N} (1 - a_i t^i), and adding vectors multiplies series.
-Multiplication uses universal integer polynomials obtained by ghost
-inversion (the division by m in degree m is exact over Z).
+Over Z, Z/m and F_p[t]/(f), multiplication runs in ghost space on the
+torsion-free lift (the shared code in ``witt``; the division by m at
+index m is exact and checked).  Any other base ring evaluates the
+universal integer product polynomials, which the ``big`` command also
+prints.
 
 For a p-local base ring the whole thing splits into classical p-typical
 pieces, one for each index n <= N prime to p; the splitting is computed
@@ -22,11 +25,20 @@ from fractions import Fraction
 
 from .errors import NotPLocal, ParameterMismatch
 from .poly import MultiPoly, poly_exact_div
-from .witt import WittVector, check_prime
+from .rings import torsion_free_lift
+from .witt import WittVector, check_prime, ghost_coords, ghost_inverse
 
 
 def _divisors(m):
     return [d for d in range(1, m + 1) if m % d == 0]
+
+
+@functools.lru_cache(maxsize=None)
+def big_ghost_table(n):
+    """Rows (d-1, d, m/d) for d | m of gh_1..gh_n, in ``witt.ghost_coords`` form."""
+    return tuple(
+        tuple((d - 1, d, m // d) for d in _divisors(m)) for m in range(1, n + 1)
+    )
 
 
 class TruncSeries:
@@ -163,15 +175,7 @@ class BigWitt:
 
     def ghost(self):
         """[gh_1, ..., gh_N] with gh_m the divisor-sum evaluation."""
-        r = self.ring
-        out = []
-        for m in range(1, self.trunc + 1):
-            acc = r.zero
-            for d in _divisors(m):
-                term = _pow(r, self.comps[d - 1], m // d)
-                acc = r.add(acc, r.mul(r.from_int(d), term))
-            out.append(acc)
-        return out
+        return ghost_coords(self.ring, big_ghost_table(self.trunc), self.comps)
 
     def to_series(self):
         r = self.ring
@@ -214,6 +218,13 @@ class BigWitt:
     def __mul__(self, other):
         self._match(other)
         n = self.trunc
+        lift = torsion_free_lift(self.ring)
+        if lift is not None:
+            L, reduce = lift
+            table = big_ghost_table(n)
+            g, h = (ghost_coords(L, table, v.comps) for v in (self, other))
+            prod = ghost_inverse(L, table, list(map(L.mul, g, h)))
+            return BigWitt(self.ring, (reduce(a) for a in prod))
         polys = gen_big_product_polys(n)
         values = {}
         for i in range(1, n + 1):
@@ -222,17 +233,6 @@ class BigWitt:
         return BigWitt(
             self.ring, (q.evaluate(self.ring, values) for q in polys)
         )
-
-
-def _pow(ring, a, k):
-    acc = ring.one
-    base = a
-    while k:
-        if k & 1:
-            acc = ring.mul(acc, base)
-        base = ring.mul(base, base)
-        k >>= 1
-    return acc
 
 
 def _big_ghost_poly(m, gens_by_index):
@@ -273,14 +273,6 @@ def gen_big_product_polys(n: int):
 def big_product_text_lines(n):
     """Canonical text lines 'M1 = ...' for the golden file and CLI."""
     return [f"M{m} = {q.text()}" for m, q in enumerate(gen_big_product_polys(n), 1)]
-
-
-def big_add(u, v):
-    return u + v
-
-
-def big_mul(u, v):
-    return u * v
 
 
 def eps_action(i, v: BigWitt) -> BigWitt:

@@ -191,6 +191,8 @@ def cmd_big(args):
     from .rings import ZZ
 
     n = args.N
+    if n < 1:
+        raise ParameterMismatch(f"N must be >= 1, got {n}")
     x = BigWitt(ZZ, _parse_comps(args.vector, n))
     lines = [
         f"x = ({','.join(map(str, x.comps))})",

@@ -4,13 +4,17 @@ A ring object carries the operations; elements themselves are plain
 hashable Python values (ints for Z and Z/m, coefficient tuples for
 quotients of F_p[t]).  That keeps Witt vector components cheap to copy
 and compare.
+
+Z, Z/m and F_p[t]/(f) are quotients of a torsion-free ring (Z, Z and
+Z[t]/(f~) respectively) in which their element representatives already
+live; :func:`torsion_free_lift` returns that ring and the reduction.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .errors import NotPLocal
+from .errors import NotDivisible, NotPLocal
 
 
 class IntegerRing:
@@ -40,6 +44,12 @@ class IntegerRing:
         if k in (1, -1):
             return k
         raise NotPLocal(f"{k} is not invertible in Z")
+
+    def exact_div(self, a, k):
+        q, r = divmod(a, k)
+        if r:
+            raise NotDivisible(f"{a} is not divisible by {k}")
+        return q
 
     def __repr__(self):
         return "ZZ"
@@ -133,6 +143,7 @@ class QuotientPolyRing:
         self.deg = len(mod) - 1
         self.zero = (0,) * self.deg
         self.one = (1,) + (0,) * (self.deg - 1)
+        self.lift = MonicQuotientZ(mod)
 
     def add(self, a, b):
         return tuple((x + y) % self.p for x, y in zip(a, b))
@@ -144,20 +155,11 @@ class QuotientPolyRing:
         return tuple((-x) % self.p for x in a)
 
     def mul(self, a, b):
-        d = self.deg
-        raw = [0] * (2 * d - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    raw[i + j] += x * y
-        # reduce degree >= d terms using t^d = -(lower part of modulus)
-        for k in range(2 * d - 2, d - 1, -1):
-            c = raw[k] % self.p
-            if c:
-                for j in range(d):
-                    raw[k - d + j] -= c * self.modulus[j]
-            raw[k] = 0
-        return tuple(x % self.p for x in raw[:d])
+        return self.reduce(self.lift.mul(a, b))
+
+    def reduce(self, a):
+        """The image of an element of Z[t]/(f~) under reduction mod p."""
+        return tuple(x % self.p for x in a)
 
     def from_int(self, k):
         return (k % self.p,) + (0,) * (self.deg - 1)
@@ -185,7 +187,94 @@ class QuotientPolyRing:
         return hash(("QPR", self.p, self.modulus))
 
 
+class MonicQuotientZ:
+    """Z[t]/(f) for a monic integer f, elements as coefficient tuples.
+
+    A free Z-module of rank deg f, hence torsion-free; with f~ the
+    lift of f in 0..p-1 it maps onto QuotientPolyRing(p, f).
+
+    >>> R = MonicQuotientZ((1, 1, 1))
+    >>> R.mul((0, 1), (0, 1))
+    (-1, -1)
+    """
+
+    characteristic = 0
+    is_finite = False
+
+    def __init__(self, modulus):
+        self.modulus = tuple(modulus)
+        self.deg = len(self.modulus) - 1
+        self.zero = (0,) * self.deg
+        self.one = (1,) + (0,) * (self.deg - 1)
+
+    def add(self, a, b):
+        return tuple(x + y for x, y in zip(a, b))
+
+    def sub(self, a, b):
+        return tuple(x - y for x, y in zip(a, b))
+
+    def neg(self, a):
+        return tuple(-x for x in a)
+
+    def mul(self, a, b):
+        d = self.deg
+        raw = [0] * (2 * d - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    raw[i + j] += x * y
+        # reduce degree >= d terms using t^d = -(lower part of modulus)
+        for k in range(2 * d - 2, d - 1, -1):
+            c = raw[k]
+            if c:
+                for j in range(d):
+                    raw[k - d + j] -= c * self.modulus[j]
+        return tuple(raw[:d])
+
+    def from_int(self, k):
+        return (k,) + (0,) * (self.deg - 1)
+
+    def exact_div(self, a, k):
+        return tuple(ZZ.exact_div(x, k) for x in a)
+
+    def __repr__(self):
+        return f"MonicQuotientZ({self.modulus})"
+
+
 ZZ = IntegerRing()
+
+
+def torsion_free_lift(ring):
+    """(L, reduce) with L torsion-free and reduce a ring map L -> ring.
+
+    Defined for Z, Z/m and F_p[t]/(f), whose element representatives
+    are elements of L, so lifting an element is the identity.  Returns
+    None for any other ring.
+
+    >>> torsion_free_lift(Zmod(9))[1](-1)
+    8
+    """
+    if isinstance(ring, (IntegerRing, Zmod)):
+        return ZZ, ring.from_int
+    if isinstance(ring, QuotientPolyRing):
+        return ring.lift, ring.reduce
+    return None
+
+
+def ring_pow(ring, a, e):
+    """a^e in ring by square-and-multiply, e >= 0.
+
+    >>> ring_pow(Zmod(7), 3, 6)
+    1
+    """
+    acc = ring.one
+    while e:
+        if e & 1:
+            acc = ring.mul(acc, a)
+        e >>= 1
+        if e:
+            a = ring.mul(a, a)
+    return acc
 
 
 def _is_irreducible(p, coeffs):
@@ -209,27 +298,16 @@ def _is_irreducible(p, coeffs):
     t = tuple(1 if i == 1 else 0 for i in range(r.deg))
     x = t
     for _ in range(deg):
-        x = _pow_ring(r, x, p)
+        x = ring_pow(r, x, p)
     if x != t:
         return False
     for q in _prime_divisors(deg):
         x = t
         for _ in range(deg // q):
-            x = _pow_ring(r, x, p)
+            x = ring_pow(r, x, p)
         if x == t:
             return False
     return True
-
-
-def _pow_ring(r, a, e):
-    acc = r.one
-    base = a
-    while e:
-        if e & 1:
-            acc = r.mul(acc, base)
-        base = r.mul(base, base)
-        e >>= 1
-    return acc
 
 
 def _prime_divisors(n):

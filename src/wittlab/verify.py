@@ -36,7 +36,7 @@ from .tate import (
 )
 from .witt import (
     WittVector,
-    gen_universal_polys,
+    eval_universal_polys,
     padic_to_witt,
     poly_text_lines,
     witt_to_padic,
@@ -61,6 +61,11 @@ def check_ghost_homomorphism():
                     return False
                 if (-a).ghost() != [-x for x in ga]:
                     return False
+            # + and * run in ghost space; compare with the polynomials
+            if (a + b).comps != eval_universal_polys("sum", a, b):
+                return False
+            if (a * b).comps != eval_universal_polys("product", a, b):
+                return False
     return True
 
 

@@ -3,11 +3,17 @@
 A length-n vector is a tuple of base ring elements (a_0, ..., a_{n-1}).
 Its ghost coordinates are
 
-    w_m = a_0^(p^m) + p * a_1^(p^(m-1)) + ... + p^m * a_m,
+    w_m = a_0^(p^m) + p * a_1^(p^(m-1)) + ... + p^m * a_m.
 
-and all arithmetic is driven by universal integer polynomials obtained
-by inverting the ghost map over Z[x_i, y_i]; the divisions by powers of
-p in that inversion are performed exactly and verified.
+Over a torsion-free ring the ghost map is injective, so +, -, *,
+negation and Frobenius are computed in ghost space: lift the operands
+to the torsion-free ring, combine ghost coordinates componentwise,
+invert the ghost map (each step an exact division by p^m, checked) and
+reduce.  Z lifts to itself, Z/m to Z and F_p[t]/(f) to Z[t]/(f~); see
+:func:`wittlab.rings.torsion_free_lift`.  Any other base ring (such as
+``hochschild.SpecRing``) evaluates the universal integer polynomials
+obtained by inverting the ghost map over Z[x_i, y_i], which are also
+what ``gen-polys`` prints.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import functools
 
 from .errors import ParameterMismatch
 from .poly import MultiPoly, poly_exact_div
-from .rings import ZZ, Zmod
+from .rings import ZZ, Zmod, ring_pow, torsion_free_lift
 
 
 def _is_prime(p):
@@ -91,6 +97,60 @@ def gen_universal_polys(p: int, n: int, kind: str):
     return tuple(out)
 
 
+def eval_universal_polys(kind, u, v=None):
+    """Components of a `kind` operation on u (and v), by evaluating the
+    universal polynomials in u's base ring."""
+    name = "a" if kind == "frobenius" else "x"
+    values = {f"{name}{i}": a for i, a in enumerate(u.comps)}
+    if v is not None:
+        values.update((f"y{i}", b) for i, b in enumerate(v.comps))
+    polys = gen_universal_polys(u.p, len(u), kind)
+    return tuple(q.evaluate(u.ring, values) for q in polys)
+
+
+# ---------------------------------------------------------------------------
+# ghost space, shared with bigwitt: a table row lists the terms
+# (i, k, e) of one ghost coordinate, sum of k * a_i^e, and ends with the
+# linear term (m, k_m, 1) of the component it determines
+
+
+@functools.lru_cache(maxsize=None)
+def ghost_table(p, n):
+    """Rows (i, p^i, p^(m-i)) for i <= m of w_0..w_{n-1}."""
+    return tuple(
+        tuple((i, p ** i, p ** (m - i)) for i in range(m + 1)) for m in range(n)
+    )
+
+
+def _ghost_sum(ring, row, comps):
+    acc = ring.zero
+    for i, k, e in row:
+        term = ring_pow(ring, comps[i], e)
+        acc = ring.add(acc, term if k == 1 else ring.mul(ring.from_int(k), term))
+    return acc
+
+
+def ghost_coords(ring, table, comps):
+    """Ghost coordinates of comps, computed in ring."""
+    return [_ghost_sum(ring, row, comps) for row in table]
+
+
+def ghost_inverse(ring, table, ghosts):
+    """The components whose ghost coordinates are `ghosts`.
+
+    The ring must be torsion-free and provide exact_div, which raises
+    NotDivisible when ghosts is not in the image of the ghost map.
+
+    >>> ghost_inverse(ZZ, ghost_table(2, 2), [3, 19])
+    [3, 5]
+    """
+    comps = []
+    for row, w in zip(table, ghosts):
+        rest = _ghost_sum(ring, row[:-1], comps)
+        comps.append(ring.exact_div(ring.sub(w, rest), row[-1][1]))
+    return comps
+
+
 POLY_PREFIX = {"sum": "S", "product": "P", "negation": "N", "frobenius": "f"}
 
 
@@ -152,7 +212,7 @@ class WittVector:
 
     @classmethod
     def zero(cls, p, ring, n):
-        return cls(p, ring, (ring.zero,) * n)
+        return cls.teichmuller(p, ring, ring.zero, n)
 
     @classmethod
     def one(cls, p, ring, n):
@@ -161,59 +221,57 @@ class WittVector:
     @classmethod
     def teichmuller(cls, p, ring, a, n):
         """The multiplicative lift <a, 0, ..., 0>."""
+        if n < 1:
+            raise ParameterMismatch("length must be >= 1")
         return cls(p, ring, (a,) + (ring.zero,) * (n - 1))
 
-    def _binary(self, other, kind):
-        self._match(other)
-        n = len(self)
-        polys = gen_universal_polys(self.p, n, kind)
-        values = {}
-        for i in range(n):
-            values[f"x{i}"] = self.comps[i]
-            values[f"y{i}"] = other.comps[i]
+    def _apply(self, kind, other=None):
+        """The `kind` operation: in ghost space when the base ring has a
+        torsion-free lift, else by the universal polynomials."""
+        lift = torsion_free_lift(self.ring)
+        if lift is None:
+            if kind == "difference":
+                return self + (-other)
+            comps = eval_universal_polys(kind, self, other)
+            return WittVector(self.p, self.ring, comps)
+        L, reduce = lift
+        table = ghost_table(self.p, len(self))
+        g = ghost_coords(L, table, self.comps)
+        if kind == "frobenius":
+            table, w = table[:-1], g[1:]
+        elif kind == "negation":
+            w = [L.neg(x) for x in g]
+        else:
+            op = {"sum": L.add, "difference": L.sub, "product": L.mul}[kind]
+            w = list(map(op, g, ghost_coords(L, table, other.comps)))
         return WittVector(
-            self.p, self.ring, (q.evaluate(self.ring, values) for q in polys)
+            self.p, self.ring, (reduce(a) for a in ghost_inverse(L, table, w))
         )
 
     def __add__(self, other):
-        return self._binary(other, "sum")
+        self._match(other)
+        return self._apply("sum", other)
 
     def __mul__(self, other):
-        return self._binary(other, "product")
-
-    def __neg__(self):
-        n = len(self)
-        polys = gen_universal_polys(self.p, n, "negation")
-        values = {f"x{i}": self.comps[i] for i in range(n)}
-        return WittVector(
-            self.p, self.ring, (q.evaluate(self.ring, values) for q in polys)
-        )
+        self._match(other)
+        return self._apply("product", other)
 
     def __sub__(self, other):
-        return self + (-other)
+        self._match(other)
+        return self._apply("difference", other)
+
+    def __neg__(self):
+        return self._apply("negation")
 
     def ghost(self):
         """Ghost coordinates [w_0, ..., w_{n-1}] in the base ring."""
-        r = self.ring
-        out = []
-        for m in range(len(self)):
-            acc = r.zero
-            for i in range(m + 1):
-                term = _ring_pow(r, self.comps[i], self.p ** (m - i))
-                acc = r.add(acc, _ring_int_mul(r, self.p ** i, term))
-            out.append(acc)
-        return out
+        return ghost_coords(self.ring, ghost_table(self.p, len(self)), self.comps)
 
     def frobenius(self):
         """F: drops the ghost indexing by one; length n -> n-1."""
-        n = len(self)
-        if n < 2:
+        if len(self) < 2:
             raise ParameterMismatch("frobenius needs length >= 2")
-        polys = gen_universal_polys(self.p, n, "frobenius")
-        values = {f"a{i}": self.comps[i] for i in range(n)}
-        return WittVector(
-            self.p, self.ring, (q.evaluate(self.ring, values) for q in polys)
-        )
+        return self._apply("frobenius")
 
     def verschiebung(self):
         """V: prepend a zero component; length n -> n+1."""
@@ -228,33 +286,6 @@ class WittVector:
     def map_components(self, fn, ring=None):
         """Apply a base ring map componentwise (functoriality)."""
         return WittVector(self.p, ring or self.ring, tuple(fn(a) for a in self.comps))
-
-
-def _ring_pow(ring, a, k):
-    acc = ring.one
-    base = a
-    while k:
-        if k & 1:
-            acc = ring.mul(acc, base)
-        base = ring.mul(base, base)
-        k >>= 1
-    return acc
-
-
-def _ring_int_mul(ring, k, a):
-    return ring.mul(ring.from_int(k), a)
-
-
-def witt_add(u, v):
-    return u + v
-
-
-def witt_mul(u, v):
-    return u * v
-
-
-def witt_neg(u):
-    return -u
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,27 @@ def test_big_bad_components(capsys):
     assert code == 2
 
 
+def test_padic_length_zero_rejected(capsys):
+    code, out, err = run(capsys, "padic", "-p", "2", "-n", "0", "T(1)")
+    assert code == 2
+    assert out == ""
+    assert "length must be >= 1" in err
+
+
+def test_padic_negative_length_rejected(capsys):
+    code, out, err = run(capsys, "padic", "-p", "2", "-n", "-1", "T(1)")
+    assert code == 2
+    assert out == ""
+    assert "length must be >= 1" in err
+
+
+def test_big_truncation_zero_rejected(capsys):
+    code, out, err = run(capsys, "big", "-N", "0", "1,2")
+    assert code == 2
+    assert "N must be >= 1" in err
+    assert "components" not in err
+
+
 def test_qgroup_text_and_json(capsys):
     code, out, _ = run(capsys, "qgroup", "-p", "2", "-n", "2", "-d", "2")
     assert code == 0
