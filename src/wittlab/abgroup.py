@@ -4,10 +4,15 @@ A group is a free abelian group on g generators modulo the lattice L
 spanned by integer relation columns.  Relation lattices are normalized
 on construction: either to a per-coordinate diagonal (the common case
 here, where every relation is a multiple of a standard basis vector,
-e.g. cokernels of norm maps in orbit bases) or to a canonical column
-Hermite form.  Equality of elements, canonical representatives,
-invariant factors, kernels, images and exactness all reduce to lattice
-computations from intlinalg.
+e.g. cokernels of norm maps in orbit bases; ``from_moduli`` stores the
+moduli as they are) or to a canonical column Hermite form.
+
+A map carries its matrix as sparse integer columns, so composing,
+adding and checking maps between large orbit bases costs O(nonzeros);
+a map out of a diagonal group is checked one generator at a time,
+d_j times column j against the target's relations.  Only invariant
+factors, kernels, images and exactness go through the dense Hermite
+and Smith forms of intlinalg.
 """
 
 from __future__ import annotations
@@ -66,7 +71,7 @@ class PresentedAbGroup:
                 raise ParameterMismatch("relation length != generator count")
         self._smith = None
         self._inv_factors = None
-        diag = self._try_diagonal(cols)
+        diag = self._try_diagonal(cols, num_gens)
         if diag is not None:
             self._diag = diag
             self._hnf = None
@@ -75,9 +80,9 @@ class PresentedAbGroup:
             self._hnf = hermite_column_form(cols, num_gens)
 
     @staticmethod
-    def _try_diagonal(cols):
+    def _try_diagonal(cols, num_gens):
         # every relation a multiple of a basis vector -> per-row modulus
-        diag = [0] * (len(cols[0]) if cols else 0)
+        diag = [0] * num_gens
         for c in cols:
             support = [i for i, x in enumerate(c) if x]
             if len(support) > 1:
@@ -87,10 +92,6 @@ class PresentedAbGroup:
                 diag[i] = math.gcd(diag[i], abs(c[i]))
         return tuple(diag)
 
-    def _check_diag_len(self):
-        if self._diag is not None and len(self._diag) != self.num_gens:
-            self._diag = self._diag + (0,) * (self.num_gens - len(self._diag))
-
     @classmethod
     def free(cls, num_gens):
         return cls(num_gens, [])
@@ -98,18 +99,18 @@ class PresentedAbGroup:
     @classmethod
     def from_moduli(cls, moduli):
         """Direct sum of Z/m_i (m_i = 0 giving a free Z factor)."""
-        moduli = list(moduli)
-        g = len(moduli)
-        cols = []
-        for i, m in enumerate(moduli):
-            cols.append(tuple(m if j == i else 0 for j in range(g)))
-        return cls(g, cols)
+        out = cls.__new__(cls)
+        out._diag = tuple(abs(m) for m in moduli)
+        out.num_gens = len(out._diag)
+        out._hnf = None
+        out._smith = None
+        out._inv_factors = None
+        return out
 
     # -- relation lattice ---------------------------------------------------
 
     def relation_cols(self):
         if self._diag is not None:
-            self._check_diag_len()
             out = []
             for i, d in enumerate(self._diag):
                 if d:
@@ -124,13 +125,22 @@ class PresentedAbGroup:
         vec = tuple(vec)
         if len(vec) != self.num_gens:
             raise ParameterMismatch("vector length != generator count")
-        if self._diag is not None:
-            self._check_diag_len()
-            for x, d in zip(vec, self._diag):
-                if (d == 0 and x != 0) or (d != 0 and x % d != 0):
-                    return False
-            return True
-        return _hnf_contains(self._hnf, vec)
+        if self._diag is None:
+            return _hnf_contains(self._hnf, vec)
+        return self._diag_contains(enumerate(vec))
+
+    def contains_sparse(self, vec):
+        """contains() for a vector given as {index: value}, zero elsewhere."""
+        if self._diag is None:
+            dense = [0] * self.num_gens
+            for i, x in vec.items():
+                dense[i] = x
+            return _hnf_contains(self._hnf, dense)
+        return self._diag_contains(vec.items())
+
+    def _diag_contains(self, entries):
+        diag = self._diag
+        return all(x % diag[i] == 0 if diag[i] else x == 0 for i, x in entries)
 
     def is_zero(self, vec):
         return self.contains(vec)
@@ -162,7 +172,6 @@ class PresentedAbGroup:
         if len(vec) != self.num_gens:
             raise ParameterMismatch("vector length != generator count")
         if self._diag is not None:
-            self._check_diag_len()
             return tuple(x % d if d else x for x, d in zip(vec, self._diag))
         sm = self._ensure_smith()
         y = list(sm.U.apply(vec))
@@ -176,7 +185,6 @@ class PresentedAbGroup:
         """Nontrivial invariant factors, 0 entries meaning free Z factors."""
         if self._inv_factors is None:
             if self._diag is not None:
-                self._check_diag_len()
                 self._inv_factors = tuple(_chain_factors(self._diag))
             else:
                 sm = self._ensure_smith()
@@ -206,7 +214,6 @@ class PresentedAbGroup:
         if n > limit:
             raise ResourceLimit(f"group order {n} exceeds limit {limit}")
         if self._diag is not None:
-            self._check_diag_len()
             ranges = [range(d) if d else range(1) for d in self._diag]
             yield from itertools.product(*ranges)
             return
@@ -270,7 +277,8 @@ class GroupMap:
     """A homomorphism between presented groups, given on generators.
 
     The integer matrix must send every relation of the source into the
-    relation lattice of the target; this is verified on construction.
+    relation lattice of the target; this is verified on construction
+    (for a diagonal source, d_j times column j for every generator j).
 
     >>> G = PresentedAbGroup(1, [(4,)]); H = PresentedAbGroup(1, [(2,)])
     >>> f = GroupMap(G, H, IntMatrix([[1]]))
@@ -287,11 +295,21 @@ class GroupMap:
         self.dst = dst
         self.matrix = matrix
         if check:
-            for col in src.relation_cols():
-                if not dst.contains(matrix.apply(col)):
-                    raise ParameterMismatch(
-                        "matrix does not send source relations into target"
-                    )
+            if src._diag is not None:
+                images = (
+                    {i: d * x for i, x in matrix.sparse_col(j).items()}
+                    for j, d in enumerate(src._diag)
+                    if d
+                )
+            else:
+                images = (
+                    matrix.apply_sparse({i: x for i, x in enumerate(col) if x})
+                    for col in src._hnf
+                )
+            if not all(dst.contains_sparse(v) for v in images):
+                raise ParameterMismatch(
+                    "matrix does not send source relations into target"
+                )
 
     @classmethod
     def identity(cls, g):
@@ -329,15 +347,11 @@ class GroupMap:
         """Equality as maps on the quotients (columns agree mod target)."""
         if not isinstance(other, GroupMap):
             return NotImplemented
-        if self.matrix.n != other.matrix.n or self.matrix.m != other.matrix.m:
+        a, b = self.matrix, other.matrix
+        if a.n != b.n or a.m != b.m:
             return False
-        for j in range(self.matrix.n):
-            d = tuple(
-                a - b for a, b in zip(self.matrix.col(j), other.matrix.col(j))
-            )
-            if not self.dst.contains(d):
-                return False
-        return True
+        diff = a - b
+        return all(self.dst.contains_sparse(diff.sparse_col(j)) for j in range(a.n))
 
     def __hash__(self):
         raise TypeError("GroupMap is unhashable")

@@ -280,11 +280,15 @@ def cmd_whh(args):
         SpecRing,
         classical_witt_group,
         hesselholt_seq_check,
-        whh0,
     )
 
     A = AlgebraSpec.load(args.algebra)
-    w = whh0(A, args.n)
+    if args.n < 1:
+        raise ParameterMismatch("level must be >= 1")
+    # the sequence check builds levels 1 .. max(2, n), level n among them
+    seq_level = max(1, args.n - 1)
+    rep = hesselholt_seq_check(A, seq_level)
+    w = rep["levels"][args.n]
     factors = tuple(w.group.invariant_factors)
     name = os.path.splitext(os.path.basename(args.algebra))[0]
     lines = [
@@ -302,8 +306,6 @@ def cmd_whh(args):
         match = factors == cl.invariant_factors
         lines.append(f"matches classical W_{args.n}: {str(match).lower()}")
         payload["matches_classical"] = match
-    seq_level = max(1, args.n - 1)
-    rep = hesselholt_seq_check(A, seq_level)
     lines.append(
         f"restriction sequence at level {seq_level}: "
         f"R surjective {str(rep['R_surjective']).lower()}, "

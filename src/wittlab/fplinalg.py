@@ -1,8 +1,10 @@
-"""Dense linear algebra over the prime field F_p.
+"""Linear algebra over the prime field F_p.
 
 Matrices are lists of row lists of ints; everything is reduced mod p.
 Just enough here for rank/kernel/solve on the small matrices that show
 up in exactness checks; the heavy integral work lives in intlinalg.
+Products skip zero entries row by row, since the structure maps of the
+tensor towers are mostly zeros.
 """
 
 from __future__ import annotations
@@ -81,14 +83,25 @@ def solve_fp(rows, b, p):
 
 
 def mat_mul_fp(a, b, p):
+    """A*B reduced mod p; zero entries of A and B cost nothing.
+
+    >>> mat_mul_fp([[1, 0], [2, 3]], [[1, 1], [0, 1]], 2)
+    [[1, 1], [0, 1]]
+    """
     if not a or not b:
         return []
-    n = len(b)
+    if any(len(row) != len(b) for row in a):
+        raise ParameterMismatch("dimension mismatch")
+    width = len(b[0])
+    b_rows = [[(j, y) for j, y in enumerate(row) if y % p] for row in b]
     out = []
     for row in a:
-        out.append(
-            [sum(row[k] * b[k][j] for k in range(n)) % p for j in range(len(b[0]))]
-        )
+        acc = [0] * width
+        for x, b_row in zip(row, b_rows):
+            if x % p:
+                for j, y in b_row:
+                    acc[j] += x * y
+        out.append([v % p for v in acc])
     return out
 
 

@@ -672,7 +672,8 @@ def hesselholt_seq_check(A: AlgebraSpec, n, limit=None):
     The composite Verschiebung from level 1 feeds the level-(n+1)
     group, restriction drops back to level n; surjectivity on the
     right and exactness in the middle are asserted facts to check,
-    injectivity on the left is only reported.
+    injectivity on the left is only reported.  The report also holds
+    the degree-0 groups it built, as ``levels`` (level -> WittHH0).
     """
     levels = {k: whh0(A, k, limit) for k in range(1, n + 2)}
     vmaps = [
@@ -687,6 +688,7 @@ def hesselholt_seq_check(A: AlgebraSpec, n, limit=None):
         "R_surjective": r.is_surjective(),
         "middle_exact": exact_at(vn, r),
         "V_injective": vn.is_injective(),
+        "levels": levels,
     }
 
 

@@ -1,10 +1,13 @@
 """Exact linear algebra over the integers.
 
-Dense matrices with arbitrary-precision entries, Hermite and Smith
-normal forms with transformation matrices, integer kernels, and a
-canonical solver for A*x = b over Z.  Everything is deterministic:
-pivot selection always takes the smallest nonzero absolute value,
-breaking ties in row-major order.
+Integer matrices are stored as sparse columns with an explicit shape:
+one ``{row: value}`` dict per column, zero entries never stored, so
+products, sums, scalar multiples, stacking and transposition cost
+O(nonzeros).  The normal-form algorithms (Hermite and Smith forms with
+transformation matrices, determinants) work on their own dense copies;
+on top of them sit integer kernels and a canonical solver for A*x = b
+over Z.  Everything is deterministic: pivot selection always takes the
+smallest nonzero absolute value, breaking ties in row-major order.
 """
 
 from __future__ import annotations
@@ -12,107 +15,211 @@ from __future__ import annotations
 from math import gcd
 
 
+def _sparse_add(out, col, k=1):
+    # out += k * col, dropping entries that cancel
+    for i, x in col.items():
+        v = out.get(i, 0) + k * x
+        if v:
+            out[i] = v
+        else:
+            out.pop(i, None)
+
+
 class IntMatrix:
-    """An immutable-by-convention integer matrix.
+    """An immutable-by-convention m x n integer matrix in sparse columns.
+
+    Built from dense rows (``IntMatrix(rows)``; pass ``n`` to give a
+    matrix with no rows its width), dense columns (``from_cols``) or
+    sparse columns (``from_sparse_cols``).  ``rows`` rebuilds the dense
+    row lists on every access and is meant for display and tests.
 
     >>> a = IntMatrix([[1, 2], [3, 4]])
     >>> (a * a).rows
     [[7, 10], [15, 22]]
+    >>> IntMatrix.zeros(0, 3).n
+    3
     """
 
-    __slots__ = ("m", "n", "rows")
+    __slots__ = ("m", "n", "_cols")
 
-    def __init__(self, rows):
+    def __init__(self, rows, n=None):
         rows = [list(r) for r in rows]
-        self.m = len(rows)
-        self.n = len(rows[0]) if rows else 0
+        if n is None:
+            n = len(rows[0]) if rows else 0
         for r in rows:
-            if len(r) != self.n:
+            if len(r) != n:
                 raise ValueError("ragged rows")
-        self.rows = rows
+        self.m = len(rows)
+        self.n = n
+        self._cols = [{} for _ in range(n)]
+        for i, r in enumerate(rows):
+            for j, x in enumerate(r):
+                if x:
+                    self._cols[j][i] = x
+
+    @classmethod
+    def _make(cls, m, n, cols):
+        # trusted constructor: cols are n zero-free dicts with rows < m
+        out = cls.__new__(cls)
+        out.m = m
+        out.n = n
+        out._cols = cols
+        return out
+
+    @classmethod
+    def from_sparse_cols(cls, cols, m):
+        """The m x len(cols) matrix whose column j has the entries cols[j].
+
+        Each column is a dict {row: value}; zero values are dropped.
+
+        >>> IntMatrix.from_sparse_cols([{1: 5}, {}], 2).rows
+        [[0, 0], [5, 0]]
+        """
+        out = []
+        for c in cols:
+            if any(not 0 <= i < m for i in c):
+                raise ValueError("row index out of range")
+            out.append({i: x for i, x in c.items() if x})
+        return cls._make(m, len(out), out)
 
     @classmethod
     def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._make(n, n, [{j: 1} for j in range(n)])
 
     @classmethod
     def zeros(cls, m, n):
-        return cls([[0] * n for _ in range(m)])
+        return cls._make(m, n, [{} for _ in range(n)])
 
     @classmethod
     def from_cols(cls, cols, m=None):
-        if not cols:
-            return cls.zeros(m or 0, 0)
-        m = len(cols[0])
-        return cls([[c[i] for c in cols] for i in range(m)])
+        """The matrix with the given dense columns of length m (m is
+        only needed to give a matrix with no columns its height)."""
+        if m is None:
+            m = len(cols[0]) if cols else 0
+        out = []
+        for c in cols:
+            if len(c) != m:
+                raise ValueError("column length != row count")
+            out.append({i: x for i, x in enumerate(c) if x})
+        return cls._make(m, len(out), out)
+
+    @property
+    def rows(self):
+        """A fresh dense list of row lists (O(m*n); not for hot paths)."""
+        out = [[0] * self.n for _ in range(self.m)]
+        for j, c in enumerate(self._cols):
+            for i, x in c.items():
+                out[i][j] = x
+        return out
+
+    def sparse_col(self, j):
+        """Column j as a {row: value} dict of its nonzeros; do not mutate."""
+        return self._cols[j]
 
     def col(self, j):
-        return [r[j] for r in self.rows]
+        out = [0] * self.m
+        for i, x in self._cols[j].items():
+            out[i] = x
+        return out
 
     def cols(self):
         return [self.col(j) for j in range(self.n)]
 
     def transpose(self):
-        return IntMatrix([[self.rows[i][j] for i in range(self.m)] for j in range(self.n)])
+        out = [{} for _ in range(self.m)]
+        for j, c in enumerate(self._cols):
+            for i, x in c.items():
+                out[i][j] = x
+        return IntMatrix._make(self.n, self.m, out)
 
     def apply(self, vec):
-        """Matrix times column vector, returned as a list.
-
-        Accumulates column by column over the nonzero vector entries,
-        so sparse vectors (relation columns, basis vectors) stay cheap
-        even when the matrix is large.
-        """
+        """Matrix times column vector, returned as a dense list."""
         if len(vec) != self.n:
             raise ValueError("dimension mismatch")
         out = [0] * self.m
-        for j, x in enumerate(vec):
+        for c, x in zip(self._cols, vec):
             if x:
-                for i, row in enumerate(self.rows):
-                    out[i] += row[j] * x
+                for i, a in c.items():
+                    out[i] += a * x
+        return out
+
+    def apply_sparse(self, vec):
+        """Matrix times a sparse vector {index: value}, as a sparse dict."""
+        out = {}
+        for j, x in vec.items():
+            if x:
+                _sparse_add(out, self._cols[j], x)
         return out
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return IntMatrix([[x * other for x in r] for r in self.rows])
+            if not other:
+                return IntMatrix.zeros(self.m, self.n)
+            return IntMatrix._make(
+                self.m, self.n,
+                [{i: x * other for i, x in c.items()} for c in self._cols],
+            )
         if self.n != other.m:
             raise ValueError("dimension mismatch")
-        bt = other.transpose().rows
-        return IntMatrix([[sum(x * y for x, y in zip(r, c)) for c in bt] for r in self.rows])
+        # column j of the product combines the columns of self picked
+        # out by the nonzeros of column j of other (Gustavson)
+        return IntMatrix._make(
+            self.m, other.n, [self.apply_sparse(c) for c in other._cols]
+        )
 
     __rmul__ = lambda self, k: self.__mul__(k)
 
+    def _plus(self, other, k):
+        # self + k * other
+        if (self.m, self.n) != (other.m, other.n):
+            raise ValueError("dimension mismatch")
+        out = []
+        for a, b in zip(self._cols, other._cols):
+            c = dict(a)
+            _sparse_add(c, b, k)
+            out.append(c)
+        return IntMatrix._make(self.m, self.n, out)
+
     def __add__(self, other):
-        return IntMatrix([[x + y for x, y in zip(r, s)] for r, s in zip(self.rows, other.rows)])
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        return IntMatrix([[x - y for x, y in zip(r, s)] for r, s in zip(self.rows, other.rows)])
+        return self._plus(other, -1)
 
     def __neg__(self):
-        return IntMatrix([[-x for x in r] for r in self.rows])
+        return self * -1
 
     def __eq__(self, other):
-        return isinstance(other, IntMatrix) and self.rows == other.rows
+        return (
+            isinstance(other, IntMatrix)
+            and (self.m, self.n) == (other.m, other.n)
+            and self._cols == other._cols
+        )
 
     def __hash__(self):
-        return hash(tuple(tuple(r) for r in self.rows))
+        return hash(
+            (self.m, self.n, tuple(frozenset(c.items()) for c in self._cols))
+        )
 
     def __repr__(self):
-        return f"IntMatrix({self.rows!r})"
+        return f"IntMatrix({self.rows!r}, n={self.n})"
 
     def is_zero(self):
-        return all(x == 0 for r in self.rows for x in r)
+        return not any(self._cols)
 
     def hstack(self, other):
         if self.m != other.m:
             raise ValueError("dimension mismatch")
-        return IntMatrix([r + s for r, s in zip(self.rows, other.rows)])
+        return IntMatrix._make(self.m, self.n + other.n, self._cols + other._cols)
 
     def det(self):
         """Determinant by fraction-free (Bareiss) elimination."""
         if self.m != self.n:
             raise ValueError("not square")
         n = self.n
-        a = [list(r) for r in self.rows]
+        if n == 0:
+            return 1
+        a = self.rows
         sign = 1
         prev = 1
         for k in range(n - 1):
@@ -143,7 +250,7 @@ class SmithDecomposition:
         self.U = U
         self.D = D
         self.V = V
-        self.diag = [D.rows[i][i] for i in range(min(D.m, D.n))]
+        self.diag = [D.sparse_col(i).get(i, 0) for i in range(min(D.m, D.n))]
         self.rank = sum(1 for d in self.diag if d != 0)
 
 
@@ -174,7 +281,7 @@ def smith_normal_form(a: IntMatrix, need_v: bool = True) -> SmithDecomposition:
     True
     """
     m, n = a.m, a.n
-    b = [list(r) for r in a.rows]
+    b = a.rows
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     v = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if need_v else None
 
@@ -255,7 +362,7 @@ def smith_normal_form(a: IntMatrix, need_v: bool = True) -> SmithDecomposition:
             u[t] = [-x for x in u[t]]
         t += 1
     return SmithDecomposition(
-        IntMatrix(u), IntMatrix(b), IntMatrix(v) if need_v else None
+        IntMatrix(u), IntMatrix(b, n), IntMatrix(v) if need_v else None
     )
 
 

@@ -145,7 +145,10 @@ class QSpace:
         ambient is a dict word -> coefficient; raises if the vector is
         not actually constant on orbits.
         """
-        return _full_orbit_coords(self, ambient)
+        out = [0] * self.num_gens
+        for i, c in _full_orbit_coords(self, ambient).items():
+            out[i] = c
+        return out
 
     def ambient_of(self, coords):
         """The invariant vector (dict word -> coeff) of orbit coordinates."""
@@ -158,24 +161,21 @@ class QSpace:
 
 
 def _full_orbit_coords(space, ambient):
-    # read coefficients per orbit; every member must carry the same one
-    coords = [None] * space.num_gens
-    hits = [0] * space.num_gens
+    # read coefficients per orbit, as a sparse {orbit: coefficient} column;
+    # every member of an orbit must carry the same coefficient
+    coords = {}
+    hits = {}
     for w, c in ambient.items():
         i = space.orbit_of[w]
-        hits[i] += 1
-        if coords[i] is None:
-            coords[i] = c
-        elif coords[i] != c:
+        if coords.setdefault(i, c) != c:
             raise ParameterMismatch("vector is not rotation-invariant")
-    out = []
-    for i, c in enumerate(coords):
-        if c is None:
-            out.append(0)
-            continue
-        if c != 0 and hits[i] != space.sizes[i]:
-            raise ParameterMismatch("vector is not rotation-invariant")
-        out.append(c)
+        hits[i] = hits.get(i, 0) + 1
+    out = {}
+    for i, c in coords.items():
+        if c != 0:
+            if hits[i] != space.sizes[i]:
+                raise ParameterMismatch("vector is not rotation-invariant")
+            out[i] = c
     return out
 
 
@@ -297,33 +297,32 @@ def w_on_map(f_rows, src: QSpace, dst: QSpace) -> GroupMap:
     f_rows is a b x a integer matrix (any lift of the mod-p map; the
     induced map only depends on the reduction, which is a test).  The
     matrix acts diagonally on tensor words and is then read off in the
-    orbit bases.
+    orbit bases; a word only reaches the words spelled by nonzero
+    entries of its letters' columns.
     """
     if (src.p, src.n) != (dst.p, dst.n) or src.primed != dst.primed:
         raise ParameterMismatch("level mismatch")
-    a, b, l = src.d, dst.d, src.length
+    a, b = src.d, dst.d
     if f_rows and any(len(r) != a for r in f_rows):
         raise ParameterMismatch("matrix width != source dimension")
     if len(f_rows) != b:
         raise ParameterMismatch("matrix height != target dimension")
+    support = [
+        [(v, f_rows[v][k]) for v in range(b) if f_rows[v][k]] for k in range(a)
+    ]
     cols = []
     for i in range(src.num_gens):
         ambient = {}
         for w in orbit_of_word(src.reps[i]):
-            for v in itertools.product(range(b), repeat=l):
+            for choice in itertools.product(*(support[k] for k in w)):
                 c = 1
-                for vk, wk in zip(v, w):
-                    c *= f_rows[vk][wk]
-                    if c == 0:
-                        break
-                if c:
-                    ambient[v] = ambient.get(v, 0) + c
+                for _, x in choice:
+                    c *= x
+                v = tuple(vk for vk, _ in choice)
+                ambient[v] = ambient.get(v, 0) + c
         cols.append(_full_orbit_coords(dst, {w: c for w, c in ambient.items() if c}))
     return GroupMap(
-        src.group,
-        dst.group,
-        IntMatrix.from_cols(cols, dst.num_gens) if cols
-        else IntMatrix.zeros(dst.num_gens, max(src.num_gens, 1)),
+        src.group, dst.group, IntMatrix.from_sparse_cols(cols, dst.num_gens)
     )
 
 
@@ -368,7 +367,9 @@ def ver_V(src: QSpace, dst: QSpace) -> GroupMap:
                 w = rotate(letters, j)
                 ambient[w] = ambient.get(w, 0) + 1
         cols.append(_full_orbit_coords(dst, ambient))
-    return GroupMap(src.group, dst.group, IntMatrix.from_cols(cols, dst.num_gens))
+    return GroupMap(
+        src.group, dst.group, IntMatrix.from_sparse_cols(cols, dst.num_gens)
+    )
 
 
 def frob_F(src: QSpace, dst: QSpace) -> GroupMap:
@@ -393,7 +394,9 @@ def frob_F(src: QSpace, dst: QSpace) -> GroupMap:
             )
             ambient[u] = ambient.get(u, 0) + 1
         cols.append(_full_orbit_coords(dst, ambient))
-    return GroupMap(src.group, dst.group, IntMatrix.from_cols(cols, dst.num_gens))
+    return GroupMap(
+        src.group, dst.group, IntMatrix.from_sparse_cols(cols, dst.num_gens)
+    )
 
 
 def standard_map(src: QSpace, dst: QSpace, c_images=None) -> GroupMap:
@@ -436,7 +439,9 @@ def standard_map(src: QSpace, dst: QSpace, c_images=None) -> GroupMap:
                 ambient[key] = ambient.get(key, 0) + coeff
         ambient = {w: c for w, c in ambient.items() if c}
         cols.append(_full_orbit_coords(dst, ambient))
-    return GroupMap(src.group, dst.group, IntMatrix.from_cols(cols, dst.num_gens))
+    return GroupMap(
+        src.group, dst.group, IntMatrix.from_sparse_cols(cols, dst.num_gens)
+    )
 
 
 def restrict_R(src: QSpace, dst: QSpace) -> GroupMap:
@@ -455,13 +460,12 @@ def restrict_R(src: QSpace, dst: QSpace) -> GroupMap:
     for i in range(src.num_gens):
         w = src.reps[i]
         if rotate(w, dst.length) == w:
-            core = w[: dst.length]
-            col = [0] * dst.num_gens
-            col[dst.orbit_of[core]] = 1
+            cols.append({dst.orbit_of[w[: dst.length]]: 1})
         else:
-            col = [0] * dst.num_gens
-        cols.append(col)
-    return GroupMap(src.group, dst.group, IntMatrix.from_cols(cols, dst.num_gens))
+            cols.append({})
+    return GroupMap(
+        src.group, dst.group, IntMatrix.from_sparse_cols(cols, dst.num_gens)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -494,16 +498,13 @@ def duality_certificate(space: QSpace):
     g = space.num_gens
     cols = []
     for i in range(g):
-        col = []
-        for j in range(g):
-            val = space.sizes[i] if i == j else 0
-            q = space.modulus // space.moduli[j]
-            if val % q:
-                raise ParameterMismatch("pairing does not respect relations")
-            col.append(val // q)
-        cols.append(col)
+        # <g_i, g_j> vanishes off the diagonal
+        q = space.modulus // space.moduli[i]
+        if space.sizes[i] % q:
+            raise ParameterMismatch("pairing does not respect relations")
+        cols.append({i: space.sizes[i] // q})
     dual = PresentedAbGroup.from_moduli(space.moduli)
-    return GroupMap(space.group, dual, IntMatrix.from_cols(cols, g)), dual
+    return GroupMap(space.group, dual, IntMatrix.from_sparse_cols(cols, g)), dual
 
 
 def corestrict_C(src: QSpace, dst: QSpace, r_map: GroupMap = None) -> GroupMap:
@@ -519,20 +520,20 @@ def corestrict_C(src: QSpace, dst: QSpace, r_map: GroupMap = None) -> GroupMap:
     if r_map is None:
         r_map = restrict_R(dst, src)
     big = dst.modulus
-    cols = []
-    for i in range(src.num_gens):
-        col = []
-        for j in range(dst.num_gens):
-            # <g_i, R h_j> at level n, lifted to [0, p^n)
-            rj = r_map.matrix.col(j)
-            val = (src.sizes[i] * rj[i]) % src.modulus
+    cols = [{} for _ in range(src.num_gens)]
+    for j in range(dst.num_gens):
+        # <g_i, R h_j> at level n, lifted to [0, p^n); zero unless R h_j
+        # has a g_i coordinate
+        for i, x in r_map.matrix.sparse_col(j).items():
+            val = (src.sizes[i] * x) % src.modulus
             rhs = (p * val) % big
             s = dst.sizes[j]
             if rhs % s:
                 raise ParameterMismatch("duality solve failed")
-            col.append((rhs // s) % (big // s))
-        cols.append(col)
-    return GroupMap(src.group, dst.group, IntMatrix.from_cols(cols, dst.num_gens))
+            cols[i][j] = (rhs // s) % (big // s)
+    return GroupMap(
+        src.group, dst.group, IntMatrix.from_sparse_cols(cols, dst.num_gens)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +583,9 @@ def trace_twist_tau(src: QSpace, dst: QSpace, d0, d1) -> GroupMap:
             v = tuple(bb[(k - 1) % l] * d0 + aa[k] for k in range(l))
             ambient[v] = ambient.get(v, 0) + 1
         cols.append(_full_orbit_coords(dst, ambient))
-    return GroupMap(src.group, dst.group, IntMatrix.from_cols(cols, dst.num_gens))
+    return GroupMap(
+        src.group, dst.group, IntMatrix.from_sparse_cols(cols, dst.num_gens)
+    )
 
 
 def tau_rot(space: QSpace, d, l) -> GroupMap:
@@ -606,7 +609,9 @@ def tau_rot(space: QSpace, d, l) -> GroupMap:
             )
             ambient[new] = ambient.get(new, 0) + 1
         cols.append(_full_orbit_coords(space, ambient))
-    return GroupMap(space.group, space.group, IntMatrix.from_cols(cols, space.num_gens))
+    return GroupMap(
+        space.group, space.group, IntMatrix.from_sparse_cols(cols, space.num_gens)
+    )
 
 
 def twist_coinvariants(space: QSpace, rot: GroupMap):

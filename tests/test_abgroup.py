@@ -62,6 +62,44 @@ def test_group_map_respects_relations():
         GroupMap(a, b, IntMatrix([[1]]))
 
 
+# Z^2 modulo (2, 2) and (0, 4): not diagonal, so kept in Hermite form
+HNF_GROUP = PresentedAbGroup(2, [(2, 2), (0, 4)])
+
+
+@pytest.mark.parametrize("src, dst, good, bad", [
+    # diagonal -> diagonal: Z/2 -> Z/4
+    (PresentedAbGroup.from_moduli([2]), PresentedAbGroup.from_moduli([4]),
+     [[2]], [[1]]),
+    # diagonal -> Hermite: (1, 1) has order 2, (1, 0) has order 4
+    (PresentedAbGroup.from_moduli([2]), HNF_GROUP, [[1], [1]], [[1], [0]]),
+    # Hermite -> diagonal: (2, 2) must die in Z/4
+    (HNF_GROUP, PresentedAbGroup.from_moduli([4]), [[2, 0]], [[1, 0]]),
+    # Hermite -> diagonal, where only the second relation (0, 3) fails
+    (PresentedAbGroup(2, [(2, 2), (0, 3)]), PresentedAbGroup.from_moduli([2]),
+     [[1, 0]], [[0, 1]]),
+    # Hermite -> Hermite: the projection to the first coordinate
+    (HNF_GROUP, HNF_GROUP, [[1, 0], [0, 1]], [[1, 0], [0, 0]]),
+])
+def test_group_map_relation_check(src, dst, good, bad):
+    assert HNF_GROUP._diag is None
+    GroupMap(src, dst, IntMatrix(good))
+    with pytest.raises(ParameterMismatch):
+        GroupMap(src, dst, IntMatrix(bad))
+
+
+@pytest.mark.parametrize("g", [PresentedAbGroup.from_moduli([2, 3]), HNF_GROUP])
+def test_maps_to_and_from_the_zero_generator_group(g):
+    empty = PresentedAbGroup(0, [])
+    out = GroupMap.zero(g, empty)
+    assert (out.matrix.m, out.matrix.n) == (0, g.num_gens)
+    assert out.kernel_group().order() == g.order()
+    assert out.is_surjective()
+    into = GroupMap.zero(empty, g)
+    assert (into.matrix.m, into.matrix.n) == (g.num_gens, 0)
+    assert into.kernel_group().order() == 1
+    assert into.cokernel().order() == g.order()
+
+
 def test_group_map_algebra():
     g = PresentedAbGroup.from_moduli([4, 4])
     f = GroupMap(g, g, IntMatrix([[0, 1], [1, 0]]))

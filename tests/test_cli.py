@@ -155,6 +155,15 @@ def test_whh_missing_file(capsys):
     assert "invalid input" in err
 
 
+def test_whh_level_below_one_rejected(capsys):
+    for n in ("0", "-1"):
+        code, out, err = run(capsys, "whh", str(ROOT / "algebras" / "f2.json"),
+                             "-n", n)
+        assert code == 2
+        assert out == ""
+        assert "level must be >= 1" in err
+
+
 def test_whh_json(capsys):
     code, out, _ = run(capsys, "--format", "json", "whh",
                        str(ROOT / "algebras" / "f2.json"), "-n", "2")

@@ -494,3 +494,16 @@ def test_map_shape_guards():
         ver_V(lo, hi)  # source must have d^p letters
     with pytest.raises(ParameterMismatch):
         frob_F(lo, hi)
+
+
+def test_w_on_map_zero_dimensional_spaces():
+    # M = 0 has no tensor words, so its group has no generators at all
+    one, zero = build_Q(2, 1, 1), build_Q(2, 1, 0)
+    assert zero.num_gens == 0
+    out = w_on_map([], one, zero)
+    assert (out.matrix.m, out.matrix.n) == (0, 1)
+    assert out.kernel_group().order() == one.group.order() == 2
+    into = w_on_map([[]], zero, one)
+    assert (into.matrix.m, into.matrix.n) == (1, 0)
+    assert into.kernel_group().order() == 1
+    assert into.cokernel().order() == 2
