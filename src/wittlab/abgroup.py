@@ -1,18 +1,24 @@
 """Finitely presented abelian groups Z^g / L and maps between them.
 
 A group is a free abelian group on g generators modulo the lattice L
-spanned by integer relation columns.  Relation lattices are normalized
-on construction: either to a per-coordinate diagonal (the common case
-here, where every relation is a multiple of a standard basis vector,
-e.g. cokernels of norm maps in orbit bases; ``from_moduli`` stores the
-moduli as they are) or to a canonical column Hermite form.
+spanned by integer relation columns.  Every lattice column, taken or
+returned, is a sparse ``{row: value}`` dict (the format of
+``IntMatrix.sparse_col``); element vectors are dense tuples.  Relation
+lattices are normalized on construction: either to a per-coordinate
+diagonal (the common case here, where every relation is a multiple of
+a standard basis vector, e.g. cokernels of norm maps in orbit bases;
+``from_moduli`` stores the moduli as they are) or to a canonical column
+Hermite form.  A diagonal's columns d_i * e_i are already in Hermite
+form, so membership is one Hermite reduction for both, and the order
+is the index of L: the product of its Hermite pivots, with no Smith
+form.
 
 A map carries its matrix as sparse integer columns, so composing,
 adding and checking maps between large orbit bases costs O(nonzeros);
-a map out of a diagonal group is checked one generator at a time,
-d_j times column j against the target's relations.  Only invariant
-factors, kernels, images and exactness go through the dense Hermite
-and Smith forms of intlinalg.
+maps are checked by sending each source relation into the target
+(for a diagonal source, d_j times column j).  Invariant factors of
+Hermite groups, canonical forms and kernels go through the Smith form
+of intlinalg, whose cached U^-1 maps reduced coordinates back.
 """
 
 from __future__ import annotations
@@ -24,7 +30,9 @@ from .errors import ParameterMismatch, ResourceLimit
 from .intlinalg import (
     IntMatrix,
     hermite_column_form,
+    hermite_reduce,
     kernel_basis,
+    lattice_eq,
     smith_normal_form,
 )
 
@@ -50,9 +58,9 @@ def _chain_factors(ds):
 
 
 class PresentedAbGroup:
-    """Z^num_gens modulo the span of integer relation columns.
+    """Z^num_gens modulo the span of sparse ``{row: value}`` relation columns.
 
-    >>> G = PresentedAbGroup(2, [(2, 0), (0, 4)])
+    >>> G = PresentedAbGroup(2, [{0: 2}, {1: 4}])
     >>> G.invariant_factors
     (2, 4)
     >>> G.order()
@@ -65,26 +73,22 @@ class PresentedAbGroup:
 
     def __init__(self, num_gens, relation_cols):
         self.num_gens = num_gens
-        cols = [tuple(c) for c in relation_cols]
-        for c in cols:
-            if len(c) != num_gens:
-                raise ParameterMismatch("relation length != generator count")
+        cols = list(relation_cols)
+        if any(not 0 <= i < num_gens for c in cols for i in c):
+            raise ParameterMismatch("relation row outside the generators")
         self._smith = None
         self._inv_factors = None
-        diag = self._try_diagonal(cols, num_gens)
-        if diag is not None:
-            self._diag = diag
-            self._hnf = None
-        else:
-            self._diag = None
-            self._hnf = hermite_column_form(cols, num_gens)
+        self._diag = self._try_diagonal(cols, num_gens)
+        self._hnf = None
+        if self._diag is None:
+            self._hnf = {min(c): c for c in hermite_column_form(cols)}
 
     @staticmethod
     def _try_diagonal(cols, num_gens):
         # every relation a multiple of a basis vector -> per-row modulus
         diag = [0] * num_gens
         for c in cols:
-            support = [i for i, x in enumerate(c) if x]
+            support = [i for i, x in c.items() if x]
             if len(support) > 1:
                 return None
             if support:
@@ -109,38 +113,23 @@ class PresentedAbGroup:
 
     # -- relation lattice ---------------------------------------------------
 
+    def _lattice(self):
+        # pivot row -> Hermite column; a diagonal group's are d_i * e_i
+        if self._hnf is None:
+            self._hnf = {i: {i: d} for i, d in enumerate(self._diag) if d}
+        return self._hnf
+
     def relation_cols(self):
-        if self._diag is not None:
-            out = []
-            for i, d in enumerate(self._diag):
-                if d:
-                    out.append(
-                        tuple(d if j == i else 0 for j in range(self.num_gens))
-                    )
-            return out
-        return list(self._hnf)
+        """The relation lattice in Hermite form, as sparse columns
+        (shared with the group: do not mutate)."""
+        return list(self._lattice().values())
 
     def contains(self, vec):
         """Is vec in the relation lattice (i.e. zero in the group)?"""
         vec = tuple(vec)
         if len(vec) != self.num_gens:
             raise ParameterMismatch("vector length != generator count")
-        if self._diag is None:
-            return _hnf_contains(self._hnf, vec)
-        return self._diag_contains(enumerate(vec))
-
-    def contains_sparse(self, vec):
-        """contains() for a vector given as {index: value}, zero elsewhere."""
-        if self._diag is None:
-            dense = [0] * self.num_gens
-            for i, x in vec.items():
-                dense[i] = x
-            return _hnf_contains(self._hnf, dense)
-        return self._diag_contains(vec.items())
-
-    def _diag_contains(self, entries):
-        diag = self._diag
-        return all(x % diag[i] == 0 if diag[i] else x == 0 for i, x in entries)
+        return not hermite_reduce(dict(enumerate(vec)), self._lattice())
 
     def is_zero(self, vec):
         return self.contains(vec)
@@ -152,13 +141,8 @@ class PresentedAbGroup:
 
     def _ensure_smith(self):
         if self._smith is None:
-            cols = self.relation_cols()
-            a = (
-                IntMatrix.from_cols(cols, self.num_gens)
-                if cols
-                else IntMatrix.zeros(self.num_gens, 1)
-            )
-            self._smith = smith_normal_form(a)
+            a = IntMatrix.from_sparse_cols(self.relation_cols(), self.num_gens)
+            self._smith = smith_normal_form(a, need_v=False)
         return self._smith
 
     def canonical(self, vec):
@@ -177,8 +161,7 @@ class PresentedAbGroup:
         y = list(sm.U.apply(vec))
         ds = sm.diag + [0] * (self.num_gens - len(sm.diag))
         y = [x % d if d else x for x, d in zip(y, ds)]
-        uinv = _unimodular_inverse(sm.U)
-        return tuple(uinv.apply(y))
+        return tuple(sm.Uinv.apply(y))
 
     @property
     def invariant_factors(self):
@@ -195,16 +178,21 @@ class PresentedAbGroup:
         return self._inv_factors
 
     def order(self):
-        """Group order, or None when infinite."""
+        """Group order, or None when infinite.
+
+        The order is the index of the relation lattice: the product of
+        its Hermite pivots when the lattice has full rank.
+        """
+        lattice = self._lattice()
+        if len(lattice) < self.num_gens:
+            return None
         n = 1
-        for d in self.invariant_factors:
-            if d == 0:
-                return None
-            n *= d
+        for i, col in lattice.items():
+            n *= col[i]
         return n
 
     def is_trivial(self):
-        return self.invariant_factors == ()
+        return self.order() == 1
 
     def elements(self, limit=200000):
         """All elements, as canonical generator-coordinate vectors."""
@@ -219,15 +207,12 @@ class PresentedAbGroup:
             return
         sm = self._ensure_smith()
         ds = sm.diag + [0] * (self.num_gens - len(sm.diag))
-        uinv = _unimodular_inverse(sm.U)
         for coords in itertools.product(*[range(d) for d in ds]):
-            yield self.canonical(uinv.apply(coords))
+            yield self.canonical(sm.Uinv.apply(coords))
 
     def quotient(self, extra_cols):
-        """The quotient by additional relation columns."""
-        return PresentedAbGroup(
-            self.num_gens, self.relation_cols() + [tuple(c) for c in extra_cols]
-        )
+        """The quotient by additional sparse relation columns."""
+        return PresentedAbGroup(self.num_gens, self.relation_cols() + list(extra_cols))
 
     def __repr__(self):
         return (
@@ -236,41 +221,10 @@ class PresentedAbGroup:
         )
 
 
-def _hnf_contains(hnf_cols, vec):
-    # columns are in Hermite form: strictly increasing pivot rows
-    v = list(vec)
-    for col in hnf_cols:
-        i = next(j for j, x in enumerate(col) if x)
-        if v[i] % col[i] != 0:
-            return False
-        q = v[i] // col[i]
-        if q:
-            for j in range(i, len(v)):
-                v[j] -= q * col[j]
-    return all(x == 0 for x in v)
-
-
-def _unimodular_inverse(u: IntMatrix) -> IntMatrix:
-    # inverse of a +-1 determinant matrix, exact over Z via adjugate rows
-    n = u.m
-    det = u.det()
-    if det not in (1, -1):
-        raise ParameterMismatch("matrix is not unimodular")
-    cols = []
-    for j in range(n):
-        e = [1 if i == j else 0 for i in range(n)]
-        cols.append(_solve_unimodular(u, e))
-    return IntMatrix.from_cols(cols, n)
-
-
-def _solve_unimodular(u, b):
-    # Cramer elimination specialized to square integer systems with det +-1
-    from .intlinalg import solve_integer_linear
-
-    x = solve_integer_linear(u, b)
-    if x is None:
-        raise ParameterMismatch("unimodular solve failed")
-    return x
+def _require_same(a, b):
+    # the same object, or the same generators and relation lattice
+    if a is not b and (a.num_gens != b.num_gens or a._lattice() != b._lattice()):
+        raise ParameterMismatch("maps between different groups")
 
 
 class GroupMap:
@@ -280,7 +234,7 @@ class GroupMap:
     relation lattice of the target; this is verified on construction
     (for a diagonal source, d_j times column j for every generator j).
 
-    >>> G = PresentedAbGroup(1, [(4,)]); H = PresentedAbGroup(1, [(2,)])
+    >>> G = PresentedAbGroup(1, [{0: 4}]); H = PresentedAbGroup(1, [{0: 2}])
     >>> f = GroupMap(G, H, IntMatrix([[1]]))
     >>> f.apply((3,))
     (1,)
@@ -295,21 +249,12 @@ class GroupMap:
         self.dst = dst
         self.matrix = matrix
         if check:
-            if src._diag is not None:
-                images = (
-                    {i: d * x for i, x in matrix.sparse_col(j).items()}
-                    for j, d in enumerate(src._diag)
-                    if d
-                )
-            else:
-                images = (
-                    matrix.apply_sparse({i: x for i, x in enumerate(col) if x})
-                    for col in src._hnf
-                )
-            if not all(dst.contains_sparse(v) for v in images):
-                raise ParameterMismatch(
-                    "matrix does not send source relations into target"
-                )
+            lattice = dst._lattice()
+            for r in src.relation_cols():
+                if hermite_reduce(matrix.apply_sparse(r), lattice):
+                    raise ParameterMismatch(
+                        "matrix does not send source relations into target"
+                    )
 
     @classmethod
     def identity(cls, g):
@@ -327,14 +272,17 @@ class GroupMap:
 
     def compose(self, other):
         """self after other."""
-        if other.dst is not self.src and other.dst.num_gens != self.src.num_gens:
-            raise ParameterMismatch("composition shape mismatch")
+        _require_same(other.dst, self.src)
         return GroupMap(other.src, self.dst, self.matrix * other.matrix, check=False)
 
     def __add__(self, other):
+        _require_same(self.src, other.src)
+        _require_same(self.dst, other.dst)
         return GroupMap(self.src, self.dst, self.matrix + other.matrix, check=False)
 
     def __sub__(self, other):
+        _require_same(self.src, other.src)
+        _require_same(self.dst, other.dst)
         return GroupMap(self.src, self.dst, self.matrix - other.matrix, check=False)
 
     def __neg__(self):
@@ -351,7 +299,8 @@ class GroupMap:
         if a.n != b.n or a.m != b.m:
             return False
         diff = a - b
-        return all(self.dst.contains_sparse(diff.sparse_col(j)) for j in range(a.n))
+        lattice = self.dst._lattice()
+        return not any(hermite_reduce(diff.sparse_col(j), lattice) for j in range(a.n))
 
     def __hash__(self):
         raise TypeError("GroupMap is unhashable")
@@ -359,20 +308,15 @@ class GroupMap:
     # -- lattices and derived groups ----------------------------------------
 
     def image_cols(self):
-        """Columns spanning the image lattice in Z^dst (incl. relations)."""
-        return self.matrix.cols() + self.dst.relation_cols()
+        """Sparse columns spanning the image lattice in Z^dst (incl. relations)."""
+        m = self.matrix
+        return [m.sparse_col(j) for j in range(m.n)] + self.dst.relation_cols()
 
     def kernel_cols(self):
-        """Columns spanning {x : f(x) = 0 in dst} (incl. src relations)."""
-        m = self.matrix
-        rel = self.dst.relation_cols()
-        if rel:
-            big = m.hstack(IntMatrix.from_cols(rel, self.dst.num_gens))
-        else:
-            big = m
-        ker = kernel_basis(big)
-        cols = [k[: self.src.num_gens] for k in ker]
-        return hermite_column_form(cols + self.src.relation_cols(), self.src.num_gens)
+        """Hermite columns spanning {x : f(x) = 0 in dst} (incl. src relations)."""
+        return hermite_column_form(
+            _preimage_of_zero(self.matrix, self.dst) + self.src.relation_cols()
+        )
 
     def cokernel(self):
         """dst modulo the image, as a PresentedAbGroup."""
@@ -380,53 +324,39 @@ class GroupMap:
 
     def kernel_group(self):
         """ker(f) as an abstract group (src restricted to the kernel)."""
-        gens = [c for c in self.kernel_cols()]
-        return subgroup_presentation(gens, self.src)
+        return subgroup_presentation(self.kernel_cols(), self.src)
 
     def is_injective(self):
-        from .intlinalg import lattice_eq
-
-        return lattice_eq(self.kernel_cols(), self.src.relation_cols(), self.src.num_gens)
+        return lattice_eq(self.kernel_cols(), self.src.relation_cols())
 
     def is_surjective(self):
-        cols = hermite_column_form(self.image_cols(), self.dst.num_gens)
-        return _is_full_unit_lattice(cols, self.dst.num_gens)
+        return self.cokernel().order() == 1
 
     def is_isomorphism(self):
         return self.is_injective() and self.is_surjective()
 
 
-def _is_full_unit_lattice(hnf_cols, n):
-    if len(hnf_cols) != n:
-        return False
-    for j, col in enumerate(hnf_cols):
-        if col[j] != 1 or any(col[i] != 0 for i in range(n) if i != j):
-            return False
-    return True
+def _preimage_of_zero(m: IntMatrix, dst: PresentedAbGroup):
+    # a basis of {x : m x in the relation lattice of dst}: the integer
+    # kernel of [m | relations], cut down to its first m.n rows
+    rel = IntMatrix.from_sparse_cols(dst.relation_cols(), dst.num_gens)
+    return [
+        {i: x for i, x in k.items() if i < m.n} for k in kernel_basis(m.hstack(rel))
+    ]
 
 
 def subgroup_presentation(gen_cols, ambient: PresentedAbGroup):
-    """The subgroup of ambient generated by gen_cols, presented abstractly.
+    """The subgroup of ambient generated by sparse gen_cols, presented abstractly.
 
     Generators are the given columns; the relations are all integer
     combinations of them that die in the ambient group.
     """
-    g = len(gen_cols)
-    if g == 0:
-        return PresentedAbGroup(0, [])
-    n = ambient.num_gens
-    m = IntMatrix.from_cols([tuple(c) for c in gen_cols], n)
-    rel = ambient.relation_cols()
-    big = m.hstack(IntMatrix.from_cols(rel, n)) if rel else m
-    ker = kernel_basis(big)
-    rels = [k[:g] for k in ker]
-    return PresentedAbGroup(g, rels)
+    gens = IntMatrix.from_sparse_cols(gen_cols, ambient.num_gens)
+    return PresentedAbGroup(gens.n, _preimage_of_zero(gens, ambient))
 
 
 def exact_at(f: GroupMap, g: GroupMap):
     """Is im(f) = ker(g) where f: A -> B, g: B -> C (as lattices in B)?"""
-    from .intlinalg import lattice_eq
-
     if f.dst.num_gens != g.src.num_gens:
         raise ParameterMismatch("maps not composable")
-    return lattice_eq(f.image_cols(), g.kernel_cols(), f.dst.num_gens)
+    return lattice_eq(f.image_cols(), g.kernel_cols())

@@ -220,7 +220,6 @@ def cmd_big(args):
 
 
 def cmd_qgroup(args):
-    from .abgroup import subgroup_presentation
     from .tate import build_Q, frob_F, restrict_R, ver_V
 
     space = build_Q(args.p, args.n, args.d)
@@ -240,16 +239,14 @@ def cmd_qgroup(args):
     if args.n >= 2:
         lo = build_Q(args.p, args.n - 1, args.d)
         pw = build_Q(args.p, args.n - 1, args.d ** args.p)
+        # |im f| = |dst| / |coker f|
         ranks = {
-            "R_image_order": subgroup_presentation(
-                restrict_R(space, lo).image_cols(), lo.group
-            ).order(),
-            "V_image_order": subgroup_presentation(
-                ver_V(pw, space).image_cols(), space.group
-            ).order(),
-            "F_image_order": subgroup_presentation(
-                frob_F(space, pw).image_cols(), pw.group
-            ).order(),
+            f"{k}_image_order": f.dst.order() // f.cokernel().order()
+            for k, f in (
+                ("R", restrict_R(space, lo)),
+                ("V", ver_V(pw, space)),
+                ("F", frob_F(space, pw)),
+            )
         }
         lines += [f"{k.replace('_', ' ')}: {v}" for k, v in ranks.items()]
         payload.update(ranks)

@@ -3,16 +3,18 @@
 Integer matrices are stored as sparse columns with an explicit shape:
 one ``{row: value}`` dict per column, zero entries never stored, so
 products, sums, scalar multiples, stacking and transposition cost
-O(nonzeros).  The normal-form algorithms (Hermite and Smith forms with
-transformation matrices, determinants) work on their own dense copies;
-on top of them sit integer kernels and a canonical solver for A*x = b
-over Z.  Everything is deterministic: pivot selection always takes the
+O(nonzeros).  Lattices are lists of such sparse columns: the column
+Hermite form works on them directly, and one Hermite reducer tests
+membership.  The Smith form (with U, U^-1 and V) and determinants work
+on their own dense copies; on top of them sit integer kernels, returned
+as sparse columns, and a canonical solver for A*x = b over Z.
+Everything is deterministic: Smith pivot selection always takes the
 smallest nonzero absolute value, breaking ties in row-major order.
 """
 
 from __future__ import annotations
 
-from math import gcd
+import heapq
 
 
 def _sparse_add(out, col, k=1):
@@ -241,13 +243,14 @@ class IntMatrix:
 
 class SmithDecomposition:
     """Holds U, D, V with U*A*V = D, U and V unimodular, D diagonal
-    with d_1 | d_2 | ... and nonnegative entries.  ``V`` may be None
-    when the caller only asked for the row transform."""
+    with d_1 | d_2 | ... and nonnegative entries, and ``Uinv`` = U^-1.
+    ``V`` may be None when the caller only asked for the row transform."""
 
-    __slots__ = ("U", "D", "V", "diag", "rank")
+    __slots__ = ("U", "Uinv", "D", "V", "diag", "rank")
 
-    def __init__(self, U, D, V):
+    def __init__(self, U, Uinv, D, V):
         self.U = U
+        self.Uinv = Uinv
         self.D = D
         self.V = V
         self.diag = [D.sparse_col(i).get(i, 0) for i in range(min(D.m, D.n))]
@@ -274,21 +277,28 @@ def _find_pivot(b, t, m, n):
 def smith_normal_form(a: IntMatrix, need_v: bool = True) -> SmithDecomposition:
     """Smith normal form with transforms.
 
+    Every row operation applied to U is undone by the inverse column
+    operation on ``Uinv``, so U^-1 comes without a solve.
+
     >>> d = smith_normal_form(IntMatrix([[2, 4], [6, 8]]))
     >>> d.diag
     [2, 4]
     >>> (d.U * IntMatrix([[2, 4], [6, 8]]) * d.V).rows == d.D.rows
     True
+    >>> (d.U * d.Uinv).rows
+    [[1, 0], [0, 1]]
     """
     m, n = a.m, a.n
     b = a.rows
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    uinv = [[1 if i == j else 0 for i in range(m)] for j in range(m)]  # columns
     v = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if need_v else None
 
     def swap_rows(i, j):
         if i != j:
             b[i], b[j] = b[j], b[i]
             u[i], u[j] = u[j], u[i]
+            uinv[i], uinv[j] = uinv[j], uinv[i]
 
     def swap_cols(i, j):
         if i != j:
@@ -306,6 +316,10 @@ def smith_normal_form(a: IntMatrix, need_v: bool = True) -> SmithDecomposition:
         ud, us = u[dst], u[src]
         for k in range(m):
             ud[k] += q * us[k]
+        # column src of U^-1 -= q * column dst
+        vd, vs = uinv[dst], uinv[src]
+        for k in range(m):
+            vs[k] -= q * vd[k]
 
     def add_col(dst, src, q):
         for row in b:
@@ -360,19 +374,21 @@ def smith_normal_form(a: IntMatrix, need_v: bool = True) -> SmithDecomposition:
         if b[t][t] < 0:
             b[t] = [-x for x in b[t]]
             u[t] = [-x for x in u[t]]
+            uinv[t] = [-x for x in uinv[t]]
         t += 1
     return SmithDecomposition(
-        IntMatrix(u), IntMatrix(b, n), IntMatrix(v) if need_v else None
+        IntMatrix(u), IntMatrix.from_cols(uinv, m), IntMatrix(b, n),
+        IntMatrix(v) if need_v else None,
     )
 
 
 def kernel_basis(a: IntMatrix):
-    """Basis of the integer kernel {x : A x = 0}, as a list of columns."""
+    """Basis of the integer kernel {x : A x = 0}, as sparse columns."""
     s = smith_normal_form(a)
     out = []
     for i in range(a.n):
         if i >= len(s.diag) or s.diag[i] == 0:
-            out.append(s.V.col(i))
+            out.append(s.V.sparse_col(i))
     return out
 
 
@@ -402,93 +418,84 @@ def solve_integer_linear(a: IntMatrix, b):
     return s.V.apply(z)
 
 
-def hermite_column_form(cols, m):
+def hermite_column_form(cols):
     """Canonical column Hermite form of the lattice spanned by ``cols``.
 
-    Returns a list of echelon columns (length ``m`` each): pivots are
-    positive, appear in strictly increasing rows, and every entry of a
-    pivot row in the later columns is reduced into [0, pivot).  Two
-    generating sets span the same lattice iff their forms are equal.
+    Columns are sparse ``{row: value}`` dicts, and so is the result: a
+    list of echelon columns whose pivots (each column's smallest row)
+    are positive and strictly increasing, and every entry of a pivot row
+    in the other columns is reduced into [0, pivot).  Two generating
+    sets span the same lattice iff their forms are equal.
+
+    >>> hermite_column_form([{0: 2, 1: 2}, {1: 4}, {0: 4}])
+    [{0: 2, 1: 2}, {1: 4}]
     """
-    work = [list(c) for c in cols if any(x != 0 for x in c)]
+    # columns wait in buckets keyed by their leading row; a column that
+    # a pivot empties is an empty dict and simply leaves the work
+    buckets = {}
+    for c in cols:
+        c = {i: x for i, x in c.items() if x}
+        if c:
+            buckets.setdefault(min(c), []).append(c)
+    heap = list(buckets)
+    heapq.heapify(heap)
     done = []
-    row = 0
-    while row < m and work:
-        # gcd-combine all columns with a nonzero entry in this row
-        while True:
-            live = [c for c in work if c[row] != 0]
-            if len(live) <= 1:
-                break
+    while heap:
+        row = heapq.heappop(heap)
+        live = buckets.pop(row)
+        # gcd-combine all columns led by this row
+        while len(live) > 1:
             live.sort(key=lambda c: abs(c[row]))
             base = live[0]
             for c in live[1:]:
-                q = c[row] // base[row]
-                for k in range(row, m):
-                    c[k] -= q * base[k]
-        pivot = None
-        rest = []
-        for c in work:
-            if c[row] != 0 and pivot is None:
-                pivot = c
-            else:
-                rest.append(c)
-        if pivot is not None:
-            if pivot[row] < 0:
-                for k in range(row, m):
-                    pivot[k] = -pivot[k]
-            for c in done:
-                q = c[row] // pivot[row]
-                if q:
-                    for k in range(row, m):
-                        c[k] -= q * pivot[k]
-            done.append(pivot)
-            work = [c for c in rest if any(x != 0 for x in c)]
-        row += 1
+                _sparse_add(c, base, -(c[row] // base[row]))
+                if c and row not in c:
+                    lead = min(c)
+                    if lead not in buckets:
+                        buckets[lead] = []
+                        heapq.heappush(heap, lead)
+                    buckets[lead].append(c)
+            live = [base] + [c for c in live[1:] if row in c]
+        pivot = live[0]
+        if pivot[row] < 0:
+            for i in pivot:
+                pivot[i] = -pivot[i]
+        for c in done:
+            q = c.get(row, 0) // pivot[row]
+            if q:
+                _sparse_add(c, pivot, -q)
+        done.append(pivot)
     return done
 
 
-def lattice_eq(cols_a, cols_b, m):
-    """Do two column sets span the same sublattice of Z^m?"""
-    return hermite_column_form(cols_a, m) == hermite_column_form(cols_b, m)
+def hermite_reduce(vec, pivots):
+    """The remainder of a sparse vector modulo a lattice in Hermite form.
+
+    ``pivots`` maps each pivot row to its Hermite column.  Pivot-row
+    entries are reduced into [0, pivot), smallest row first; the vector
+    lies in the lattice iff the remainder is empty.
+
+    >>> piv = {0: {0: 2, 1: 2}, 1: {1: 4}}
+    >>> hermite_reduce({0: 4, 1: 4}, piv)
+    {}
+    >>> hermite_reduce({0: 3}, piv)
+    {0: 1, 1: 2}
+    """
+    v = {i: x for i, x in vec.items() if x}
+    heap = [i for i in v if i in pivots]
+    heapq.heapify(heap)
+    while heap:
+        row = heapq.heappop(heap)
+        col = pivots[row]
+        q = v.get(row, 0) // col[row]
+        if q:
+            for i in col:
+                if i not in v and i in pivots:
+                    heapq.heappush(heap, i)
+            _sparse_add(v, col, -q)
+    return v
 
 
-def lattice_contains(cols, vec, m):
-    """Is ``vec`` in the lattice spanned by ``cols``?"""
-    h = hermite_column_form(cols, m)
-    v = list(vec)
-    for c in h:
-        row = next(i for i in range(m) if c[i] != 0)
-        if v[row] % c[row] != 0:
-            return False
-        q = v[row] // c[row]
-        for k in range(m):
-            v[k] -= q * c[k]
-    return all(x == 0 for x in v)
-
-
-def lattice_le(cols_a, cols_b, m):
-    """Is span(cols_a) contained in span(cols_b)?"""
-    h = hermite_column_form(cols_b, m)
-    for c in cols_a:
-        if not _reduces_to_zero(c, h, m):
-            return False
-    return True
-
-
-def _reduces_to_zero(vec, hnf_cols, m):
-    v = list(vec)
-    for c in hnf_cols:
-        row = next(i for i in range(m) if c[i] != 0)
-        if v[row] % c[row] != 0:
-            return False
-        q = v[row] // c[row]
-        for k in range(m):
-            v[k] -= q * c[k]
-    return all(x == 0 for x in v)
-
-
-def gcd_list(xs):
-    g = 0
-    for x in xs:
-        g = gcd(g, x)
-    return g
+def lattice_eq(cols_a, cols_b):
+    """Do two sets of sparse columns span the same lattice?"""
+    return hermite_column_form(cols_a) == hermite_column_form(cols_b)

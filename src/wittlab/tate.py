@@ -621,7 +621,7 @@ def twist_coinvariants(space: QSpace, rot: GroupMap):
     quotient by the image of (rot - id).
     """
     delta = rot.matrix - IntMatrix.identity(space.num_gens)
-    quot = space.group.quotient(delta.cols())
+    quot = space.group.quotient([delta.sparse_col(j) for j in range(delta.n)])
     return quot, GroupMap(space.group, quot, IntMatrix.identity(space.num_gens))
 
 

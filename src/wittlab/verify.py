@@ -8,7 +8,7 @@ a command-line sanity pass after an install.
 
 import random
 
-from .abgroup import GroupMap, exact_at, subgroup_presentation
+from .abgroup import GroupMap, exact_at
 from .bigwitt import BigWitt, eps_action, p_typical_decompose
 from .errors import WittlabError
 from .hochschild import (

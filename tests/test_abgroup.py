@@ -46,9 +46,9 @@ def test_elements_enumeration():
 
 def test_quotient():
     g = PresentedAbGroup.from_moduli([8])
-    q = g.quotient([[4]])
+    q = g.quotient([{0: 4}])
     assert q.invariant_factors == (4,)
-    q2 = g.quotient([[1]])
+    q2 = g.quotient([{0: 1}])
     assert q2.is_trivial()
 
 
@@ -63,7 +63,7 @@ def test_group_map_respects_relations():
 
 
 # Z^2 modulo (2, 2) and (0, 4): not diagonal, so kept in Hermite form
-HNF_GROUP = PresentedAbGroup(2, [(2, 2), (0, 4)])
+HNF_GROUP = PresentedAbGroup(2, [{0: 2, 1: 2}, {1: 4}])
 
 
 @pytest.mark.parametrize("src, dst, good, bad", [
@@ -75,7 +75,7 @@ HNF_GROUP = PresentedAbGroup(2, [(2, 2), (0, 4)])
     # Hermite -> diagonal: (2, 2) must die in Z/4
     (HNF_GROUP, PresentedAbGroup.from_moduli([4]), [[2, 0]], [[1, 0]]),
     # Hermite -> diagonal, where only the second relation (0, 3) fails
-    (PresentedAbGroup(2, [(2, 2), (0, 3)]), PresentedAbGroup.from_moduli([2]),
+    (PresentedAbGroup(2, [{0: 2, 1: 2}, {1: 3}]), PresentedAbGroup.from_moduli([2]),
      [[1, 0]], [[0, 1]]),
     # Hermite -> Hermite: the projection to the first coordinate
     (HNF_GROUP, HNF_GROUP, [[1, 0], [0, 1]], [[1, 0], [0, 0]]),
@@ -109,6 +109,27 @@ def test_group_map_algebra():
     assert f.is_isomorphism()
 
 
+def test_map_arithmetic_checks_the_groups():
+    z2 = PresentedAbGroup.from_moduli([2])
+    z4 = PresentedAbGroup.from_moduli([4])
+    # Z/2 -> Z/4 via "identities" would send 2 (zero in Z/2) to 2
+    with pytest.raises(ParameterMismatch):
+        GroupMap.identity(z4).compose(GroupMap.identity(z2))
+    with pytest.raises(ParameterMismatch):
+        GroupMap.identity(z2) + GroupMap(z4, z4, IntMatrix([[1]]))
+    with pytest.raises(ParameterMismatch):
+        GroupMap.identity(z2) - GroupMap(z4, z4, IntMatrix([[1]]))
+    # equal presentations built apart agree, diagonal or Hermite
+    id4 = GroupMap.identity(z4)
+    also_id4 = GroupMap.identity(PresentedAbGroup(1, [{0: 8}, {0: 12}]))
+    assert id4.compose(also_id4).apply([5]) == (1,)
+    assert id4 + also_id4 == id4.scaled(2)
+    other_hnf = PresentedAbGroup(2, [{0: 2, 1: 6}, {1: 4}, {0: 4}])
+    assert other_hnf is not HNF_GROUP and other_hnf._diag is None
+    assert (GroupMap.identity(HNF_GROUP) - GroupMap.identity(other_hnf)) == (
+        GroupMap.zero(HNF_GROUP, HNF_GROUP))
+
+
 def test_kernel_image_cokernel():
     # multiplication by 2 on Z/8: kernel Z/2, image Z/4, cokernel Z/2
     g = PresentedAbGroup.from_moduli([8])
@@ -139,7 +160,7 @@ def test_subgroup_presentation_random():
         moduli = [rng.choice([2, 3, 4, 8, 9]) for _ in range(rng.randint(1, 3))]
         g = PresentedAbGroup.from_moduli(moduli)
         n = len(moduli)
-        gens = [[rng.randint(-5, 5) for _ in range(n)]
+        gens = [{i: rng.randint(-5, 5) for i in range(n)}
                 for _ in range(rng.randint(1, 3))]
         h = subgroup_presentation(gens, g)
         assert g.order() % h.order() == 0

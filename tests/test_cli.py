@@ -108,6 +108,31 @@ def test_qgroup_text_and_json(capsys):
     assert doc["invariant_factors"] == [2, 4, 4]
 
 
+def test_qgroup_d6_payload(capsys):
+    """The full JSON payload at p=2, n=2, d=6 (336 orbit generators).
+
+    Recorded once from the implementation that took each image order
+    from a Smith-form subgroup presentation, where this invocation ran
+    for 88 s on a 2-core VM; image orders now come from |dst| / |coker|
+    and the command answers in well under a second.
+    """
+    code, out, _ = run(capsys, "--format", "json",
+                       "qgroup", "-p", "2", "-n", "2", "-d", "6")
+    assert code == 0
+    assert out == json.dumps({
+        "schema": "wittlab/1",
+        "command": "qgroup",
+        "p": 2,
+        "n": 2,
+        "d": 6,
+        "invariant_factors": [2] * 15 + [4] * 6,
+        "order": 134217728,
+        "R_image_order": 64,
+        "V_image_order": 2097152,
+        "F_image_order": 2097152,
+    }, indent=1) + "\n"
+
+
 def test_global_flags_accepted_after_subcommand(capsys):
     code, out, _ = run(capsys, "qgroup", "-p", "2", "-n", "2", "-d", "2",
                        "--format", "json")
