@@ -221,9 +221,13 @@ class PresentedAbGroup:
         )
 
 
-def _require_same(a, b):
+def _same_group(a, b):
     # the same object, or the same generators and relation lattice
-    if a is not b and (a.num_gens != b.num_gens or a._lattice() != b._lattice()):
+    return a is b or (a.num_gens == b.num_gens and a._lattice() == b._lattice())
+
+
+def _require_same(a, b):
+    if not _same_group(a, b):
         raise ParameterMismatch("maps between different groups")
 
 
@@ -292,15 +296,14 @@ class GroupMap:
         return GroupMap(self.src, self.dst, self.matrix * k, check=False)
 
     def __eq__(self, other):
-        """Equality as maps on the quotients (columns agree mod target)."""
+        """Equality as maps between the same groups (columns agree mod target)."""
         if not isinstance(other, GroupMap):
             return NotImplemented
-        a, b = self.matrix, other.matrix
-        if a.n != b.n or a.m != b.m:
+        if not (_same_group(self.src, other.src) and _same_group(self.dst, other.dst)):
             return False
-        diff = a - b
+        diff = self.matrix - other.matrix
         lattice = self.dst._lattice()
-        return not any(hermite_reduce(diff.sparse_col(j), lattice) for j in range(a.n))
+        return not any(hermite_reduce(diff.sparse_col(j), lattice) for j in range(diff.n))
 
     def __hash__(self):
         raise TypeError("GroupMap is unhashable")

@@ -222,7 +222,7 @@ def cmd_big(args):
 def cmd_qgroup(args):
     from .tate import build_Q, frob_F, restrict_R, ver_V
 
-    space = build_Q(args.p, args.n, args.d)
+    space = build_Q(args.p, args.n, args.d, args.limit)
     factors = list(space.group.invariant_factors)
     lines = [
         f"Q_{args.n} at dimension {args.d} over F_{args.p}: "
@@ -237,8 +237,8 @@ def cmd_qgroup(args):
         "order": space.group.order(),
     }
     if args.n >= 2:
-        lo = build_Q(args.p, args.n - 1, args.d)
-        pw = build_Q(args.p, args.n - 1, args.d ** args.p)
+        lo = build_Q(args.p, args.n - 1, args.d, args.limit)
+        pw = build_Q(args.p, args.n - 1, args.d ** args.p, args.limit)
         # |im f| = |dst| / |coker f|
         ranks = {
             f"{k}_image_order": f.dst.order() // f.cokernel().order()
@@ -256,7 +256,7 @@ def cmd_qgroup(args):
 def cmd_ncpoly(args):
     from .ncpoly import comm_c_polys, solve_nc_c
 
-    cs = solve_nc_c(args.p, args.n)
+    cs = solve_nc_c(args.p, args.n, args.limit)
     comm = comm_c_polys(args.p, args.n)
     lines = [f"c{i} = {c.text()}" for i, c in enumerate(cs, start=1)]
     lines += [
@@ -284,7 +284,7 @@ def cmd_whh(args):
         raise ParameterMismatch("level must be >= 1")
     # the sequence check builds levels 1 .. max(2, n), level n among them
     seq_level = max(1, args.n - 1)
-    rep = hesselholt_seq_check(A, seq_level)
+    rep = hesselholt_seq_check(A, seq_level, args.limit)
     w = rep["levels"][args.n]
     factors = tuple(w.group.invariant_factors)
     name = os.path.splitext(os.path.basename(args.algebra))[0]
@@ -421,12 +421,9 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    saved_limit = os.environ.get("WITTLAB_LIMIT")
-    if args.limit is not None:
-        if args.limit < 1:
-            print("limit must be positive", file=sys.stderr)
-            return 2
-        os.environ["WITTLAB_LIMIT"] = str(args.limit)
+    if args.limit is not None and args.limit < 1:
+        print("limit must be positive", file=sys.stderr)
+        return 2
     try:
         out = args.fn(args)
     except ResourceLimit as e:
@@ -435,13 +432,6 @@ def main(argv=None):
     except (ParameterMismatch, InvalidAlgebra, NotDivisible, NotPLocal) as e:
         print(f"invalid input: {e}", file=sys.stderr)
         return 2
-    finally:
-        # keep in-process callers (tests, embedding) free of leaked state
-        if args.limit is not None:
-            if saved_limit is None:
-                os.environ.pop("WITTLAB_LIMIT", None)
-            else:
-                os.environ["WITTLAB_LIMIT"] = saved_limit
     if len(out) == 3:
         payload, lines, code = out
     else:

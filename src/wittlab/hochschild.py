@@ -2,12 +2,18 @@
 
 An AlgebraSpec holds structure constants over F_p.  The tensor powers
 A, A (x) A, ... carry face maps that multiply adjacent slots (the last
-one wrapping around through the rotation), unit-inserting degeneracy
-maps, and the slotwise rotation; Hochschild homology is the homology
-of the alternating face sum.  Applying the level-n group construction
-W_n componentwise to the same maps gives a parallel tower whose
-degree-0 homology is the Hochschild-Witt group, with restriction and
-Verschiebung operators.
+one wrapping around to the front), unit-inserting degeneracy maps and
+the slotwise rotation, each a mod-p matrix (``face_rows`` and its
+neighbours).  A CyclicTower holds one group per tensor power and these
+maps as GroupMaps.  In the F_p tower the group of A^(x m) is
+(Z/p)^(d^m) and the maps are the matrices themselves; its homology is
+Hochschild homology.  The Witt tower applies the level-n construction
+W_n to the same matrices, with the wrap-around face through the trace
+twist rotation; its degree-0 homology is the Hochschild-Witt group,
+which carries restriction and Verschiebung operators.  The F_p tower
+is the linear case, so one construction, one identity check, one chain
+differential and one Connes operator B serve both, and homology orders
+come from cokernel orders (Hermite forms).
 """
 
 import itertools
@@ -15,7 +21,7 @@ import json
 
 from .abgroup import GroupMap, PresentedAbGroup, exact_at, subgroup_presentation
 from .errors import InvalidAlgebra, ParameterMismatch
-from .fplinalg import mat_mul_fp, nullspace_fp, rank_fp
+from .intlinalg import IntMatrix
 from .tate import build_Q, frob_F, restrict_R, tau_rot, teich_T, ver_V, w_on_map
 from .witt import WittVector, check_prime
 
@@ -227,251 +233,41 @@ def rot_rows(d, m):
 
 
 # ---------------------------------------------------------------------------
-# the F_p-level tower
+# the cyclic tower, over F_p or at level n
 
 
-class CyclicSlice:
-    """Tensor powers of an algebra with faces, degeneracies, rotations.
+class CyclicTower:
+    """Tensor powers of an algebra as groups, with faces, degeneracies, rotations.
 
-    Levels run from 1 to depth; level m holds A^(x m).  faces[m][i] are
-    the m face matrices down to level m-1 (m >= 2), degens[m][i] the m
-    degeneracies up to level m+1 (m < depth), rots[m] the rotation.
+    Levels run from 1 to depth; level m is the group groups[m] standing
+    for A^(x m): (Z/p)^(d^m) in the F_p tower (``spaces`` is None), the
+    level-n group of the Q-space ``spaces[m]`` in the Witt tower.
+    faces[m][i] are the m faces down to level m-1 (m >= 2), degens[m][i]
+    the m degeneracies up to level m+1 (m < depth), rots[m] the
+    rotation; all of them are GroupMaps.
     """
 
-    __slots__ = ("algebra", "depth", "faces", "degens", "rots")
+    __slots__ = ("algebra", "depth", "spaces", "groups", "faces", "degens", "rots")
 
-    def __init__(self, algebra, depth, faces, degens, rots):
+    def __init__(self, algebra, depth, spaces, groups):
         self.algebra = algebra
-        self.depth = depth
-        self.faces = faces
-        self.degens = degens
-        self.rots = rots
-
-    def dim_at(self, m):
-        return self.algebra.dim ** m
-
-    def chain_differential(self, i):
-        """The alternating face sum at chain degree i >= 1, as rows."""
-        if not 1 <= i <= self.depth - 1:
-            raise ParameterMismatch("chain degree out of the built range")
-        p = self.algebra.p
-        faces = self.faces[i + 1]
-        rows = [row[:] for row in faces[0]]
-        sign = -1
-        for mat in faces[1:]:
-            for r, row in enumerate(mat):
-                target = rows[r]
-                for c, x in enumerate(row):
-                    if x:
-                        target[c] = (target[c] + sign * x) % p
-            sign = -sign
-        return [[x % p for x in row] for row in rows]
-
-
-def build_A_natural(A: AlgebraSpec, D) -> CyclicSlice:
-    """The tensor tower of A up to D+1 factors, identities checked."""
-    if D < 1:
-        raise ParameterMismatch("need depth bound >= 1")
-    depth = D + 1
-    faces = {
-        m: [face_rows(A, m, i) for i in range(m)] for m in range(2, depth + 1)
-    }
-    degens = {
-        m: [degen_rows(A, m, i) for i in range(m)] for m in range(1, depth)
-    }
-    rots = {m: rot_rows(A.dim, m) for m in range(1, depth + 1)}
-    out = CyclicSlice(A, depth, faces, degens, rots)
-    bad = cyclic_identity_failures(out)
-    if bad:
-        raise ParameterMismatch(f"structure maps violate identities: {bad[:3]}")
-    return out
-
-
-def _fp_ops(p, dims):
-    ident = {m: [[int(r == c) for c in range(dm)] for r in range(dm)]
-             for m, dm in dims.items()}
-
-    def compose(a, b):
-        return mat_mul_fp(a, b, p)
-
-    def eq(a, b):
-        return [[x % p for x in row] for row in a] == [
-            [x % p for x in row] for row in b
-        ]
-
-    return compose, eq, ident
-
-
-def _group_ops(spaces):
-    ident = {m: GroupMap.identity(sp.group) for m, sp in spaces.items()}
-
-    def compose(a, b):
-        return a.compose(b)
-
-    def eq(a, b):
-        return a == b
-
-    return compose, eq, ident
-
-
-def _identity_failures(depth, faces, degens, rots, compose, eq, ident):
-    """Simplicial and rotation identities over whatever map type."""
-    bad = []
-
-    def note(ok, tag):
-        if not ok:
-            bad.append(tag)
-
-    for m in range(2, depth + 1):
-        t = rots[m]
-        power = ident[m]
-        for _ in range(m):
-            power = compose(t, power)
-        note(eq(power, ident[m]), f"t^{m} != id at level {m}")
-        d = faces[m]
-        note(eq(compose(d[0], t), d[m - 1]), f"d0 t != wrap at level {m}")
-        for i in range(1, m):
-            lhs = compose(d[i], t)
-            rhs = compose(rots[m - 1], d[i - 1]) if m - 1 >= 2 else d[i - 1]
-            note(eq(lhs, rhs), f"t-face compat fails at ({m}, {i})")
-    for m in range(3, depth + 1):
-        d_hi, d_lo = faces[m], faces[m - 1]
-        for j in range(m):
-            for i in range(j):
-                note(
-                    eq(compose(d_lo[i], d_hi[j]), compose(d_lo[j - 1], d_hi[i])),
-                    f"face identity fails at ({m}, {i}, {j})",
-                )
-    for m in range(1, depth):
-        s = degens[m]
-        d_up = faces[m + 1]
-        for j in range(m):
-            for i in range(m + 2):
-                lhs = compose(d_up[i], s[j]) if i < m + 1 else None
-                if i < j:
-                    ok = eq(lhs, compose(degens[m - 1][j - 1], faces[m][i])) \
-                        if m >= 2 else True
-                elif i in (j, j + 1):
-                    ok = eq(lhs, ident[m])
-                elif i < m + 1:
-                    ok = eq(lhs, compose(degens[m - 1][j], faces[m][i - 1])) \
-                        if m >= 2 else True
-                else:
-                    continue
-                note(ok, f"face-degeneracy identity fails at ({m}, {i}, {j})")
-        if m + 1 in degens:
-            s_up = degens[m + 1]
-            for j in range(m):
-                for i in range(j + 1):
-                    note(
-                        eq(compose(s_up[i], s[j]), compose(s_up[j + 1], s[i])),
-                        f"degeneracy identity fails at ({m}, {i}, {j})",
-                    )
-    return bad
-
-
-def cyclic_identity_failures(slice_: CyclicSlice):
-    dims = {m: slice_.dim_at(m) for m in range(1, slice_.depth + 1)}
-    compose, eq, ident = _fp_ops(slice_.algebra.p, dims)
-    return _identity_failures(
-        slice_.depth, slice_.faces, slice_.degens, slice_.rots, compose, eq, ident
-    )
-
-
-def hochschild_homology(slice_: CyclicSlice, through):
-    """F_p-dimensions of HH_0 .. HH_through.
-
-    Chain degree i sits at level i+1 of the tower, so the bound must
-    leave one level of headroom for the incoming differential.
-    """
-    if through + 2 > slice_.depth:
-        raise ParameterMismatch("tower too shallow for the requested degree")
-    p = slice_.algebra.p
-    diffs = {i: slice_.chain_differential(i) for i in range(1, through + 2)}
-    for i in range(1, through + 1):
-        prod = mat_mul_fp(diffs[i], diffs[i + 1], p)
-        if any(any(x % p for x in row) for row in prod):
-            raise ParameterMismatch(f"differential square nonzero at {i}")
-    dims = []
-    for i in range(through + 1):
-        if i == 0:
-            nullity = slice_.dim_at(1)
-        else:
-            nullity = slice_.dim_at(i + 1) - rank_fp(diffs[i], p)
-        dims.append(nullity - rank_fp(diffs[i + 1], p))
-    return dims
-
-
-def connes_B_rows(slice_: CyclicSlice, i):
-    """The B operator at chain degree i, unnormalized complex.
-
-    (1 - signed t) after the front unit insertion after the norm; the
-    signed rotation at chain degree i is (-1)^i times the slot rotation.
-    """
-    if i + 2 > slice_.depth:
-        raise ParameterMismatch("tower too shallow for B at this degree")
-    p = slice_.algebra.p
-    m = i + 1
-    dm = slice_.dim_at(m)
-    sign = 1 if i % 2 == 0 else p - 1
-    norm = [[int(r == c) for c in range(dm)] for r in range(dm)]
-    power = norm
-    for _ in range(i):
-        power = mat_mul_fp(
-            [[sign * x % p for x in row] for row in slice_.rots[m]], power, p
-        )
-        norm = [
-            [(a + b) % p for a, b in zip(ra, rb)] for ra, rb in zip(norm, power)
-        ]
-    sn = mat_mul_fp(front_insert_rows(slice_.algebra, m), norm, p)
-    sign_up = 1 if (i + 1) % 2 == 0 else p - 1
-    t_up = [[sign_up * x % p for x in row] for row in slice_.rots[m + 1]]
-    correction = mat_mul_fp(t_up, sn, p)
-    return [
-        [(a - b) % p for a, b in zip(ra, rb)] for ra, rb in zip(sn, correction)
-    ]
-
-
-def connes_B_zero_on_homology(slice_: CyclicSlice, i):
-    """Does B vanish on HH_i (image of cycles lies in boundaries)?"""
-    p = slice_.algebra.p
-    b_rows = connes_B_rows(slice_, i)
-    if i == 0:
-        cycles = [
-            tuple(int(k == j) for k in range(slice_.dim_at(1)))
-            for j in range(slice_.dim_at(1))
-        ]
-    else:
-        cycles = nullspace_fp(slice_.chain_differential(i), p)
-    boundary = slice_.chain_differential(i + 2)
-    base_rank = rank_fp(boundary, p)
-    cols = [list(row) for row in zip(*boundary)] if boundary else []
-    for z in cycles:
-        img = [sum(r * x for r, x in zip(row, z)) % p for row in b_rows]
-        if rank_fp(cols + [img], p) != base_rank:
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# the W_n-level tower
-
-
-class WittSlice:
-    """The level-n group tower over the tensor powers of an algebra."""
-
-    __slots__ = ("algebra", "n", "depth", "spaces", "faces", "degens", "rots")
-
-    def __init__(self, algebra, n, depth, spaces, faces, degens, rots):
-        self.algebra = algebra
-        self.n = n
         self.depth = depth
         self.spaces = spaces
-        self.faces = faces
-        self.degens = degens
-        self.rots = rots
+        self.groups = groups
+        self.faces = {}
+        self.degens = {}
+        self.rots = {}
+
+    def induced(self, rows, m, k) -> GroupMap:
+        """The map from level m to level k given by a mod-p matrix
+        A^(x m) -> A^(x k): the matrix itself over F_p, its induced map
+        (``w_on_map``) at level n."""
+        if self.spaces is None:
+            return GroupMap(self.groups[m], self.groups[k], IntMatrix(rows))
+        return w_on_map(rows, self.spaces[m], self.spaces[k])
 
     def chain_differential(self, i) -> GroupMap:
+        """The alternating face sum at chain degree i >= 1."""
         if not 1 <= i <= self.depth - 1:
             raise ParameterMismatch("chain degree out of the built range")
         out = self.faces[i + 1][0]
@@ -482,7 +278,49 @@ class WittSlice:
         return out
 
 
-def build_WnA_natural(A: AlgebraSpec, n, D=1, limit=None) -> WittSlice:
+def _build_tower(A: AlgebraSpec, D, spaces, groups) -> CyclicTower:
+    # the structure maps of either tower, then every identity among them
+    depth = D + 1
+    d = A.dim
+    out = CyclicTower(A, depth, spaces, groups)
+    for m in range(1, depth + 1):
+        if spaces is None:
+            out.rots[m] = out.induced(rot_rows(d, m), m, m)
+        else:
+            out.rots[m] = tau_rot(spaces[m], d, m)
+    for m in range(2, depth + 1):
+        fs = [out.induced(face_rows(A, m, i), m, m - 1) for i in range(m - 1)]
+        # the wrap-around face: its own matrix over F_p, so that d0 t =
+        # wrap is checked; through the trace twist rotation at level n
+        if spaces is None:
+            wrap = out.induced(face_rows(A, m, m - 1), m, m - 1)
+        else:
+            wrap = fs[0].compose(out.rots[m])
+        out.faces[m] = fs + [wrap]
+    for m in range(1, depth):
+        out.degens[m] = [
+            out.induced(degen_rows(A, m, i), m, m + 1) for i in range(m)
+        ]
+    bad = cyclic_identity_failures(out)
+    if bad:
+        raise ParameterMismatch(f"structure maps violate identities: {bad[:3]}")
+    return out
+
+
+def build_A_natural(A: AlgebraSpec, D) -> CyclicTower:
+    """The F_p tower of A up to D+1 tensor factors, identities checked.
+
+    Level m is (Z/p)^(d^m); every structure map is its mod-p matrix.
+    """
+    if D < 1:
+        raise ParameterMismatch("need depth bound >= 1")
+    groups = {
+        m: PresentedAbGroup.from_moduli([A.p] * A.dim ** m) for m in range(1, D + 2)
+    }
+    return _build_tower(A, D, None, groups)
+
+
+def build_WnA_natural(A: AlgebraSpec, n, D=1, limit=None) -> CyclicTower:
     """Apply the level-n construction to the tensor tower, D levels up.
 
     Faces and degeneracies are the induced maps of the mod-p matrices;
@@ -493,34 +331,148 @@ def build_WnA_natural(A: AlgebraSpec, n, D=1, limit=None) -> WittSlice:
         raise ParameterMismatch("depth bound must be 1 or 2 at this level")
     if n < 1:
         raise ParameterMismatch("level must be >= 1")
-    depth = D + 1
-    d = A.dim
-    spaces = {m: build_Q(A.p, n, d ** m, limit) for m in range(1, depth + 1)}
-    rots = {m: tau_rot(spaces[m], d, m) for m in range(1, depth + 1)}
-    faces = {}
-    for m in range(2, depth + 1):
-        fs = [
-            w_on_map(face_rows(A, m, i), spaces[m], spaces[m - 1])
-            for i in range(m - 1)
-        ]
-        wrap = w_on_map(face_rows(A, m, 0), spaces[m], spaces[m - 1]).compose(
-            rots[m]
-        )
-        faces[m] = fs + [wrap]
-    degens = {
-        m: [
-            w_on_map(degen_rows(A, m, i), spaces[m], spaces[m + 1])
-            for i in range(m)
-        ]
-        for m in range(1, depth)
-    }
-    out = WittSlice(A, n, depth, spaces, faces, degens, rots)
-    compose, eq, ident = _group_ops(spaces)
-    bad = _identity_failures(depth, faces, degens, rots, compose, eq, ident)
-    if bad:
-        raise ParameterMismatch(f"structure maps violate identities: {bad[:3]}")
-    return out
+    spaces = {m: build_Q(A.p, n, A.dim ** m, limit) for m in range(1, D + 2)}
+    return _build_tower(A, D, spaces, {m: sp.group for m, sp in spaces.items()})
 
+
+def cyclic_identity_failures(tower: CyclicTower):
+    """Simplicial and rotation identities that fail, as tags."""
+    depth, faces, degens, rots = tower.depth, tower.faces, tower.degens, tower.rots
+    ident = {m: GroupMap.identity(g) for m, g in tower.groups.items()}
+    bad = []
+
+    def note(ok, tag):
+        if not ok:
+            bad.append(tag)
+
+    for m in range(2, depth + 1):
+        t = rots[m]
+        power = ident[m]
+        for _ in range(m):
+            power = t.compose(power)
+        note(power == ident[m], f"t^{m} != id at level {m}")
+        d = faces[m]
+        note(d[0].compose(t) == d[m - 1], f"d0 t != wrap at level {m}")
+        for i in range(1, m):
+            lhs = d[i].compose(t)
+            rhs = rots[m - 1].compose(d[i - 1]) if m - 1 >= 2 else d[i - 1]
+            note(lhs == rhs, f"t-face compat fails at ({m}, {i})")
+    for m in range(3, depth + 1):
+        d_hi, d_lo = faces[m], faces[m - 1]
+        for j in range(m):
+            for i in range(j):
+                note(
+                    d_lo[i].compose(d_hi[j]) == d_lo[j - 1].compose(d_hi[i]),
+                    f"face identity fails at ({m}, {i}, {j})",
+                )
+    for m in range(1, depth):
+        s = degens[m]
+        d_up = faces[m + 1]
+        for j in range(m):
+            for i in range(m + 2):
+                lhs = d_up[i].compose(s[j]) if i < m + 1 else None
+                if i < j:
+                    ok = lhs == degens[m - 1][j - 1].compose(faces[m][i]) \
+                        if m >= 2 else True
+                elif i in (j, j + 1):
+                    ok = lhs == ident[m]
+                elif i < m + 1:
+                    ok = lhs == degens[m - 1][j].compose(faces[m][i - 1]) \
+                        if m >= 2 else True
+                else:
+                    continue
+                note(ok, f"face-degeneracy identity fails at ({m}, {i}, {j})")
+        if m + 1 in degens:
+            s_up = degens[m + 1]
+            for j in range(m):
+                for i in range(j + 1):
+                    note(
+                        s_up[i].compose(s[j]) == s_up[j + 1].compose(s[i]),
+                        f"degeneracy identity fails at ({m}, {i}, {j})",
+                    )
+    return bad
+
+
+def _log(order, p):
+    # the exponent of a power of p
+    k = 0
+    while order > 1:
+        order //= p
+        k += 1
+    return k
+
+
+def hochschild_homology(tower: CyclicTower, through):
+    """F_p-dimensions of HH_0 .. HH_through.
+
+    Chain degree i sits at level i+1 of the tower, so the bound must
+    leave one level of headroom for the incoming differential.  The
+    orders come from cokernels alone (Hermite forms, no elimination
+    mod p): |H_i| = |coker d_i| |coker d_(i+1)| / |C_(i-1)|, with
+    |H_0| = |coker d_1|.  On a level-n tower the same numbers are the
+    p-exponents of the homology orders.
+    """
+    if through + 2 > tower.depth:
+        raise ParameterMismatch("tower too shallow for the requested degree")
+    diffs = {i: tower.chain_differential(i) for i in range(1, through + 2)}
+    for i in range(1, through + 1):
+        dd = diffs[i].compose(diffs[i + 1])
+        if dd != GroupMap.zero(dd.src, dd.dst):
+            raise ParameterMismatch(f"differential square nonzero at {i}")
+    coker = {i: f.cokernel().order() for i, f in diffs.items()}
+    dims = []
+    for i in range(through + 1):
+        order = coker[i + 1]
+        if i:
+            order = order * coker[i] // tower.groups[i].order()
+        dims.append(_log(order, tower.algebra.p))
+    return dims
+
+
+def witt_connes_B(tower: CyclicTower, i) -> GroupMap:
+    """Connes' B at chain degree i, unnormalized complex, on either tower.
+
+    (1 - signed t) after the front unit insertion after the norm; the
+    signed rotation at chain degree i is (-1)^i times the rotation.
+    """
+    if i + 2 > tower.depth:
+        raise ParameterMismatch("tower too shallow for B at this degree")
+    m = i + 1
+    sign = 1 if i % 2 == 0 else -1
+    norm = GroupMap.identity(tower.groups[m])
+    power = norm
+    for _ in range(i):
+        power = tower.rots[m].scaled(sign).compose(power)
+        norm = norm + power
+    front = tower.induced(front_insert_rows(tower.algebra, m), m, m + 1)
+    sn = front.compose(norm)
+    return sn - tower.rots[m + 1].scaled(-sign).compose(sn)
+
+
+def connes_B_zero_on_homology(tower: CyclicTower, i):
+    """Does B vanish on HH_i (image of cycles lies in boundaries)?"""
+    b = witt_connes_B(tower, i).matrix
+    if i == 0:
+        cycles = IntMatrix.identity(b.n)
+    else:
+        cycles = IntMatrix.from_sparse_cols(
+            tower.chain_differential(i).kernel_cols(), b.n
+        )
+    image = b * cycles
+    boundaries = tower.chain_differential(i + 2).cokernel()
+    return all(boundaries.is_zero(image.col(j)) for j in range(image.n))
+
+
+def witt_chain_homology(tower: CyclicTower, i) -> PresentedAbGroup:
+    """Homology of the tower at chain degree i >= 1."""
+    b_i = tower.chain_differential(i)
+    b_up = tower.chain_differential(i + 1)
+    ambient = b_up.cokernel()
+    return subgroup_presentation(b_i.kernel_cols(), ambient)
+
+
+# ---------------------------------------------------------------------------
+# degree-zero Hochschild-Witt groups
 
 class WittHH0:
     """Degree-0 homology of the level-n tower: W_n(A) mod face images."""
@@ -692,34 +644,7 @@ def hesselholt_seq_check(A: AlgebraSpec, n, limit=None):
 
 
 # ---------------------------------------------------------------------------
-# B at the group level (for the small stretch identity)
-
-
-def witt_connes_B(ws: WittSlice, i) -> GroupMap:
-    """The B operator on the level-n tower at chain degree i."""
-    if i + 2 > ws.depth:
-        raise ParameterMismatch("tower too shallow for B at this degree")
-    m = i + 1
-    sign = 1 if i % 2 == 0 else -1
-    norm = GroupMap.identity(ws.spaces[m].group)
-    power = norm
-    for _ in range(i):
-        power = ws.rots[m].scaled(sign).compose(power)
-        norm = norm + power
-    s_front = w_on_map(
-        front_insert_rows(ws.algebra, m), ws.spaces[m], ws.spaces[m + 1]
-    )
-    sn = s_front.compose(norm)
-    t_up = ws.rots[m + 1].scaled(1 if (i + 1) % 2 == 0 else -1)
-    return sn - t_up.compose(sn)
-
-
-def witt_chain_homology(ws: WittSlice, i) -> PresentedAbGroup:
-    """Homology of the level-n tower at chain degree i >= 1."""
-    b_i = ws.chain_differential(i)
-    b_up = ws.chain_differential(i + 1)
-    ambient = b_up.cokernel()
-    return subgroup_presentation(b_i.kernel_cols(), ambient)
+# the F B V stretch identity
 
 
 def fbv_stretch_check(A: AlgebraSpec, n, limit=None):

@@ -306,7 +306,7 @@ def run_suite(name):
         try:
             ok = bool(fn())
             detail = ""
-        except WittlabError as e:
+        except Exception as e:
             ok = False
             detail = f"{type(e).__name__}: {e}"
         results.append({"check": check_name, "pass": ok, "detail": detail})

@@ -130,6 +130,20 @@ def test_map_arithmetic_checks_the_groups():
         GroupMap.zero(HNF_GROUP, HNF_GROUP))
 
 
+def test_map_equality_checks_the_groups():
+    z2 = PresentedAbGroup.from_moduli([2])
+    z4 = PresentedAbGroup.from_moduli([4])
+    assert GroupMap.identity(z2) != GroupMap.identity(z4)
+    assert GroupMap.identity(z4) != GroupMap.identity(z2)
+    # the same matrix column, zero modulo 2 but not modulo 4
+    into_z2 = GroupMap.zero(z2, z2)
+    into_z4 = GroupMap(z2, z4, IntMatrix([[2]]))
+    assert into_z2 != into_z4
+    assert into_z4 != into_z2
+    # equal presentations built apart still compare equal
+    assert GroupMap.identity(z2) == GroupMap.identity(PresentedAbGroup(1, [{0: 2}]))
+
+
 def test_kernel_image_cokernel():
     # multiplication by 2 on Z/8: kernel Z/2, image Z/4, cokernel Z/2
     g = PresentedAbGroup.from_moduli([8])

@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -222,6 +223,47 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert code == 1
     assert "always_red: fail" in out
     assert "0/1 checks passed" in out
+
+
+def test_verify_reports_exceptions(capsys, monkeypatch):
+    def divides_by_zero():
+        return 1 // 0
+
+    monkeypatch.setitem(
+        wittlab.verify.SUITES, "classical",
+        [("divides_by_zero", divides_by_zero), ("still_runs", lambda: True)],
+    )
+    code, out, _ = run(capsys, "verify", "classical")
+    assert code == 1
+    assert ("divides_by_zero: fail (ZeroDivisionError: "
+            "integer division or modulo by zero)") in out
+    assert "still_runs: pass" in out
+    assert "1/2 checks passed" in out
+
+
+def test_limit_flag_leaves_the_environment_alone(capsys, monkeypatch):
+    import wittlab.tate
+
+    monkeypatch.setenv("WITTLAB_LIMIT", "10")
+    before = dict(os.environ)
+    real_build_q, seen = wittlab.tate.build_Q, []
+
+    def build_q(*args):
+        # the bound arrives as an argument, the environment stays as set
+        seen.append((args[3:], os.environ["WITTLAB_LIMIT"]))
+        return real_build_q(*args)
+
+    monkeypatch.setattr(wittlab.tate, "build_Q", build_q)
+    code, out, _ = run(capsys, "--limit", "100000",
+                       "qgroup", "-p", "2", "-n", "2", "-d", "2")
+    assert code == 0
+    assert "order 32" in out
+    assert seen and all(s == ((100000,), "10") for s in seen)
+    assert dict(os.environ) == before
+    code, _, err = run(capsys, "--limit", "0",
+                       "qgroup", "-p", "2", "-n", "2", "-d", "2")
+    assert code == 2
+    assert "limit must be positive" in err
 
 
 def test_json_mirrors_text_fields(capsys):

@@ -4,6 +4,7 @@ import pytest
 
 import wittlab.abgroup
 import wittlab.bigwitt
+import wittlab.fplinalg
 import wittlab.freealg
 import wittlab.hochschild
 import wittlab.intlinalg
@@ -16,6 +17,7 @@ import wittlab.witt
 MODULES = [
     wittlab.abgroup,
     wittlab.bigwitt,
+    wittlab.fplinalg,
     wittlab.freealg,
     wittlab.hochschild,
     wittlab.intlinalg,

@@ -2,9 +2,9 @@ import itertools
 
 import pytest
 
+from wittlab import hochschild
 from wittlab.abgroup import GroupMap
-from wittlab.errors import InvalidAlgebra
-from wittlab.fplinalg import is_zero_fp, mat_mul_fp
+from wittlab.errors import InvalidAlgebra, ParameterMismatch
 from wittlab.hochschild import (
     BUILTIN_ALGEBRAS,
     AlgebraSpec,
@@ -13,7 +13,6 @@ from wittlab.hochschild import (
     build_WnA_natural,
     builtin_algebra,
     classical_witt_group,
-    connes_B_rows,
     connes_B_zero_on_homology,
     cyclic_identity_failures,
     fbv_stretch_check,
@@ -105,7 +104,7 @@ def test_algebra_files_match_builtins(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the linear-level tower: identities and homology
+# the F_p tower: identities, homology, Connes B
 
 
 @pytest.fixture(scope="module")
@@ -138,26 +137,70 @@ def test_hh_dims_upper_triangular(slices):
         [2, 0, 0]
 
 
-def test_connes_b_chain_identities(slices):
-    for name in NAMES:
-        sl = slices[name]
-        p = sl.algebra.p
-        b0 = connes_B_rows(sl, 0)
-        b1 = connes_B_rows(sl, 1)
-        assert is_zero_fp(mat_mul_fp(b1, b0, p), p), name
-        d1 = sl.chain_differential(1)
-        d2 = sl.chain_differential(2)
-        anti = [
-            [(x + y) % p for x, y in zip(r1, r2)]
-            for r1, r2 in zip(mat_mul_fp(d2, b1, p), mat_mul_fp(b0, d1, p))
-        ]
-        assert is_zero_fp(anti, p), name
+def test_connes_b_identities(slices):
+    # B B = 0, d B = 0 from degree 0, and d B + B d = 0, on the F_p
+    # towers and on the Witt tower of F_2 at level 2; the dual numbers
+    # over F_3 make the signs visible
+    dual_f3 = AlgebraSpec(3, 2, ["1", "x"], [1, 0],
+                          [[[1, 0], [0, 1]], [[0, 1], [0, 0]]])
+    towers = [(name, slices[name]) for name in NAMES]
+    towers.append(("dual numbers over F_3", build_A_natural(dual_f3, 3)))
+    towers.append(("f2 n=2", build_WnA_natural(ALGS["f2"], 2, D=2)))
+    for name, tw in towers:
+        b0 = witt_connes_B(tw, 0)
+        b1 = witt_connes_B(tw, 1)
+        g = tw.groups
+        assert b1.compose(b0) == GroupMap.zero(g[1], g[3]), name
+        d1 = tw.chain_differential(1)
+        d2 = tw.chain_differential(2)
+        assert d1.compose(b0) == GroupMap.zero(g[1], g[1]), name
+        assert d2.compose(b1) + b0.compose(d1) == GroupMap.zero(g[2], g[2]), name
+
+
+@pytest.mark.parametrize("face", ("first", "wrap"))
+def test_identity_check_catches_a_wrong_face(monkeypatch, face):
+    # a face multiplying its two slots in the opposite order breaks the
+    # cyclic identities of the non-commutative algebra; the F_p tower
+    # builds its wrap-around face on its own, the Witt tower from d_0
+    real = hochschild.face_rows
+
+    def flipped(A, m, i):
+        if i != (0 if face == "first" else m - 1):
+            return real(A, m, i)
+        d = A.dim
+        rows = [[0] * (d ** m) for _ in range(d ** (m - 1))]
+        for w in itertools.product(range(d), repeat=m):
+            if i == 0:
+                prod, rest = A.mul[w[1]][w[0]], w[2:]
+            else:
+                prod, rest = A.mul[w[0]][w[m - 1]], w[1:m - 1]
+            for k, c in enumerate(prod):
+                if c:
+                    rows[hochschild._windex((k,) + rest, d)][
+                        hochschild._windex(w, d)] = c
+        return rows
+
+    monkeypatch.setattr(hochschild, "face_rows", flipped)
+    ut = ALGS["upper_triangular_2x2_f2"]
+    with pytest.raises(ParameterMismatch):
+        build_A_natural(ut, 3)
+    if face == "first":
+        with pytest.raises(ParameterMismatch):
+            build_WnA_natural(ut, 1, D=2)
 
 
 def test_connes_b_vanishes_on_etale_homology(slices):
     for i in (0, 1):
         assert connes_B_zero_on_homology(slices["f4"], i)
         assert connes_B_zero_on_homology(slices["f2"], i)
+
+
+def test_connes_b_on_non_etale_homology(slices):
+    # B sends x to the nonzero class of 1 (x) x in HH_1 of the dual numbers
+    assert not connes_B_zero_on_homology(slices["dual_numbers_f2"], 0)
+    assert connes_B_zero_on_homology(slices["dual_numbers_f2"], 1)
+    # zero on HH_1 of the upper-triangular algebra, though not on all of C_1
+    assert connes_B_zero_on_homology(slices["upper_triangular_2x2_f2"], 1)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +235,8 @@ def test_level_one_tower_reduces_to_linear_faces():
                     col = mat.col(src_fix[s])
                     for t in range(dst_sp.d):
                         assert col[dst_fix[t]] % p == \
-                            sl.faces[m][i][t][s] % p, (name, m, i, s, t)
+                            sl.faces[m][i].matrix.col(s)[t] % p, \
+                            (name, m, i, s, t)
 
 
 # ---------------------------------------------------------------------------
@@ -278,25 +322,7 @@ def test_hesselholt_sequence_orders_consistent():
 
 
 # ---------------------------------------------------------------------------
-# Witt-level Connes operator
-
-
-def test_witt_connes_b_identities():
-    f2 = ALGS["f2"]
-    ws = build_WnA_natural(f2, 2, D=2)
-    b0 = witt_connes_B(ws, 0)
-    b1 = witt_connes_B(ws, 1)
-    assert b1.compose(b0) == GroupMap.zero(
-        ws.spaces[1].group, ws.spaces[3].group
-    )
-    d1 = ws.chain_differential(1)
-    d2 = ws.chain_differential(2)
-    assert d1.compose(b0) == GroupMap.zero(
-        ws.spaces[1].group, ws.spaces[1].group
-    )
-    assert d2.compose(b1) + b0.compose(d1) == GroupMap.zero(
-        ws.spaces[2].group, ws.spaces[2].group
-    )
+# the F B V stretch identity and Witt-level homology
 
 
 def test_fbv_stretch_f2_level2():
